@@ -206,7 +206,7 @@ _FORWARD = {
     "add_row": lambda p, _: p[0] + p[1],
     "mul_scalar": lambda p, _: p[0] * p[1],
     "reciprocal": lambda p, _: 1.0 / p[0],
-    "sigmoid": lambda p, _: _sigmoid(p[0]),
+    "sigmoid": lambda p, _: stable_sigmoid(p[0]),
     "exp": lambda p, _: np.exp(p[0]),
     "log": lambda p, _: np.log(p[0]),
     "leaky_relu": lambda p, a: np.where(p[0] > 0, p[0], a["slope"] * p[0]),
@@ -224,7 +224,9 @@ _FORWARD = {
 }
 
 
-def _sigmoid(x):
+def stable_sigmoid(x):
+    """Elementwise 1 / (1 + exp(-x)) on a plain array, overflow-safe:
+    exp is only ever taken of a non-positive argument."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

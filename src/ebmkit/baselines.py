@@ -2,10 +2,12 @@
 
 Small dense networks trained with ordinary supervised losses: a softmax
 classifier under cross-entropy and a regressor under mean squared error,
-optionally with spectral-normalized weights. They run on the same tape
-engine and Adam update as the energy models and serve as comparison
-points for the energy-based workflows (sequential-task classification,
-one-step dynamics prediction).
+optionally with spectral-normalized weights. MLPHead is a thin subclass of
+the energy networks' MLP core (model.MLP), so layers, initialization,
+spectral normalization and the taped pass are shared; it runs on the same
+tape engine and Adam update as the energy models and serves as a
+comparison point for the energy-based workflows (sequential-task
+classification, one-step dynamics prediction).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError, LabelError, TrainingDivergedError
-from .model import ACTIVATIONS, Layer, _act
+from .model import ACTIVATIONS, MLP
 from .trainer import adam_step
 
 
@@ -33,6 +35,9 @@ class HeadConfig:
     activation: str = "swish"
     spectral_norm: bool = False
     power_iters: int = 1
+
+    # heads carry no per-class gain and bias
+    num_classes = 0
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
@@ -54,122 +59,22 @@ class HeadConfig:
         return self.widths[-1]
 
 
-class MLPHead:
+class MLPHead(MLP):
     """Plain affine stack with activations between layers and a linear
-    output layer. Spectral normalization, when enabled, follows the same
-    stored-u convention as the energy networks."""
-
-    def __init__(self, config, layers):
-        self.config = config
-        self.layers = layers
-
-    @classmethod
-    def init(cls, config, rng):
-        layers = []
-        for i in range(len(config.widths) - 1):
-            fan_in, fan_out = config.widths[i], config.widths[i + 1]
-            w = rng.normal(size=(fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-            b = np.zeros(fan_out)
-            u = None
-            if config.spectral_norm:
-                u = rng.normal(size=fan_in)
-                u /= np.linalg.norm(u)
-            layers.append(Layer(w=w, b=b, u=u))
-        net = cls(config, layers)
-        if config.spectral_norm:
-            net.spectral_update(iters=50)
-        return net
-
-    def parameters(self):
-        """(name, array) pairs in a fixed order; arrays are live references."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.append((f"layer{i}.w", layer.w))
-            out.append((f"layer{i}.b", layer.b))
-        return out
-
-    def clone(self):
-        layers = [Layer(w=l.w.copy(), b=l.b.copy(),
-                        u=None if l.u is None else l.u.copy())
-                  for l in self.layers]
-        return MLPHead(self.config, layers)
-
-    def spectral_update(self, iters=None):
-        if not self.config.spectral_norm:
-            raise ConfigError("spectral normalization is disabled for this model")
-        steps = self.config.power_iters if iters is None else int(iters)
-        for layer in self.layers:
-            u = layer.u
-            for _ in range(steps):
-                wu = layer.w.T @ u
-                n = np.linalg.norm(wu)
-                if n == 0.0:
-                    break
-                wv = layer.w @ (wu / n)
-                n2 = np.linalg.norm(wv)
-                if n2 == 0.0:
-                    break
-                u = wv / n2
-            layer.u = u
-
-    def _effective_weight(self, layer):
-        if not self.config.spectral_norm or layer.u is None:
-            return layer.w
-        sigma = np.linalg.norm(layer.w.T @ layer.u)
-        if sigma == 0.0:
-            return layer.w
-        return layer.w / sigma
-
-    def _check_inputs(self, x):
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise DimensionError(
-                f"expected inputs of shape (batch, {self.config.input_dim}), "
-                f"got {x.shape}")
+    output layer."""
 
     def forward(self, x):
         """Network outputs, shape (batch, output_dim)."""
         x = np.asarray(x, dtype=np.float64)
-        self._check_inputs(x)
-        h = x
-        for layer in self.layers[:-1]:
-            h = _act(h @ self._effective_weight(layer) + layer.b,
-                     self.config.activation)
-        last = self.layers[-1]
-        return h @ self._effective_weight(last) + last.b
-
-    def lift_parameters(self, tape):
-        return [{"w": tape.leaf(l.w, param=True),
-                 "b": tape.leaf(l.b, param=True)} for l in self.layers]
+        self._check_x(x)
+        return self._forward(x)
 
     def taped_forward(self, x, params=None):
-        """Forward pass built from recorded operations.
-
-        As with the energy networks, the spectral scale is u^T W v with
-        u, v frozen at their current estimates, so gradients flow through
-        W only.
-        """
-        xv = x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
-        self._check_inputs(xv)
-        h = x if isinstance(x, ad.Tensor) else ad.constant(xv)
-        for i, layer in enumerate(self.layers):
-            entry = params[i] if params is not None else None
-            w_t = entry["w"] if entry else ad.constant(layer.w)
-            b_t = entry["b"] if entry else ad.constant(layer.b)
-            h = ad.add_row(ad.matmul(h, self._taped_weight(layer, w_t)), b_t)
-            if i < len(self.layers) - 1:
-                h = ad.activation(h, self.config.activation)
-        return h
-
-    def _taped_weight(self, layer, w_t):
-        if not self.config.spectral_norm or layer.u is None:
-            return w_t
-        wu = layer.w.T @ layer.u
-        n = np.linalg.norm(wu)
-        if n == 0.0:
-            return w_t
-        v = wu / n
-        sigma = ad.sum_all(ad.mul(w_t, ad.constant(np.outer(layer.u, v))))
-        return ad.mul_scalar(w_t, ad.reciprocal(sigma))
+        """Taped outputs, shape (batch, output_dim); x and params as for
+        MLP._taped_forward."""
+        self._check_x(x.data if isinstance(x, ad.Tensor)
+                      else np.asarray(x, dtype=np.float64))
+        return self._taped_forward(x, params=params)
 
 
 def softmax_cross_entropy(logits, labels):

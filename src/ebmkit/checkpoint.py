@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractError
-from .model import EnergyNet, Layer, ModelConfig
+from .model import EnergyNet, Layer, ModelConfig, layer_shapes
 from .sampler import ReplayBuffer
 from .trainer import AdamState
 
@@ -96,15 +96,9 @@ def save_checkpoint(path, net, *, train=None, dataset=None, seed=None,
         "adam": None if adam is None else {"t": int(adam.t)},
         "buffer": None,
     }
-    chunks = []
-    for layer in net.layers:
-        chunks.append(_blob(layer.w))
-        chunks.append(_blob(layer.b))
-        if layer.gamma is not None:
-            chunks.append(_blob(layer.gamma))
-            chunks.append(_blob(layer.beta))
-        if layer.u is not None:
-            chunks.append(_blob(layer.u))
+    # Layer fields run w, b, gamma, beta, u: the storage order
+    chunks = [_blob(arr) for layer in net.layers
+              for arr in vars(layer).values() if arr is not None]
     if adam is not None:
         for name, _ in net.parameters():
             chunks.append(_blob(adam.m[name]))
@@ -148,21 +142,30 @@ class _Reader:
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
-def _layer_shapes(config):
-    """Per-layer parameter shapes implied by a ModelConfig, mirroring
-    EnergyNet.init."""
-    shapes = []
-    n_layers = len(config.widths) - 1
-    for i in range(n_layers):
-        fan_in, fan_out = config.widths[i], config.widths[i + 1]
-        entry = {"w": (fan_in, fan_out), "b": (fan_out,)}
-        if config.num_classes > 0 and i < n_layers - 1:
-            entry["gamma"] = (config.num_classes, fan_out)
-            entry["beta"] = (config.num_classes, fan_out)
-        if config.spectral_norm:
-            entry["u"] = (fan_in,)
-        shapes.append(entry)
-    return shapes
+_BLOB_NAMES = {"w": "layer weights", "b": "layer biases", "gamma": "class gains",
+               "beta": "class biases", "u": "spectral vector"}
+
+# manifest buffer fields and their types
+_BUFFER_FIELDS = {"count": int, "dim": int, "labeled": bool, "capacity": int,
+                  "uniform_prob": float}
+
+
+def _parse_manifest(manifest):
+    """(ModelConfig, Adam step or None, buffer facts or None) from a
+    decoded manifest; a missing or mistyped entry is a ContractError."""
+    try:
+        model = dict(manifest["model"])
+        model["widths"] = tuple(model["widths"])
+        config = ModelConfig(**model)
+        adam = manifest.get("adam")
+        adam_t = None if adam is None else int(adam["t"])
+        binfo = manifest.get("buffer")
+        if binfo is not None:
+            binfo = {k: kind(binfo[k]) for k, kind in _BUFFER_FIELDS.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(
+            f"malformed checkpoint manifest: {type(exc).__name__} {exc}") from exc
+    return config, adam_t, binfo
 
 
 def load_checkpoint(path):
@@ -181,34 +184,23 @@ def load_checkpoint(path):
         manifest = json.loads(reader.take(mlen, "manifest").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContractError(f"unreadable checkpoint manifest: {exc}") from exc
+    config, adam_t, binfo = _parse_manifest(manifest)
 
-    model_dict = dict(manifest["model"])
-    model_dict["widths"] = tuple(model_dict["widths"])
-    config = ModelConfig(**model_dict)
-    layers = []
-    for entry in _layer_shapes(config):
-        layers.append(Layer(
-            w=reader.array(entry["w"], "layer weights"),
-            b=reader.array(entry["b"], "layer biases"),
-            gamma=(reader.array(entry["gamma"], "class gains")
-                   if "gamma" in entry else None),
-            beta=(reader.array(entry["beta"], "class biases")
-                  if "beta" in entry else None),
-            u=reader.array(entry["u"], "spectral vector")
-            if "u" in entry else None,
-        ))
+    layers = [Layer(**{k: reader.array(shape, _BLOB_NAMES[k])
+                       for k, shape in entry.items()})
+              for entry in layer_shapes(config.widths, config.num_classes,
+                                        config.spectral_norm)]
     net = EnergyNet(config, layers)
 
     adam = None
-    if manifest.get("adam") is not None:
+    if adam_t is not None:
         m, v = {}, {}
         for name, p in net.parameters():
             m[name] = reader.array(p.shape, f"adam m[{name}]")
             v[name] = reader.array(p.shape, f"adam v[{name}]")
-        adam = AdamState(m=m, v=v, t=int(manifest["adam"]["t"]))
+        adam = AdamState(m=m, v=v, t=adam_t)
 
     buffer = None
-    binfo = manifest.get("buffer")
     if binfo is not None:
         (count,) = struct.unpack("<Q", reader.take(8, "buffer count"))
         if count != binfo["count"]:

@@ -28,8 +28,8 @@ from .compose import finetune_combination, joint_sample
 from .datagen import (gaussian_mixture, mini_sprites, ring2d, split_tasks,
                       trajectory_sim)
 from .errors import ConfigError, ContractError, EbmError, LabelError
-from .metrics import (AISConfig, ais_logZ, auroc, energy_classify,
-                      frechet_gaussian, ks_statistic,
+from .metrics import (AISConfig, ais_logZ, auroc, class_energies,
+                      energy_classify, frechet_gaussian, ks_statistic,
                       log_partition_quadrature, metric_csv_row,
                       mode_coverage, pgd_attack, raise_logZ,
                       refined_classify)
@@ -474,11 +474,9 @@ def _eval_logz(args, bundle, rng):
 def _marginal_energy(net, x):
     """Scalar score per row; conditional models are scored by the free
     energy -log sum_c exp(-E(x, c))."""
-    k = net.config.num_classes
-    if k == 0:
+    if net.config.num_classes == 0:
         return net.energy(x)
-    e = np.stack([net.energy(x, labels=np.full(x.shape[0], c, dtype=np.intp))
-                  for c in range(k)], axis=1)
+    e = class_energies(net, x)
     m = e.min(axis=1)
     return m - np.log(np.sum(np.exp(m[:, None] - e), axis=1))
 

@@ -29,20 +29,6 @@ class _SummedConfig:
     num_classes: int = 0
 
 
-def _part_dim(net):
-    config = getattr(net, "config", None)
-    if config is not None:
-        return int(config.input_dim)
-    return int(net.dim)
-
-
-def _part_classes(net):
-    config = getattr(net, "config", None)
-    if config is None:
-        return 0
-    return int(getattr(config, "num_classes", 0))
-
-
 class SummedEnergy:
     """Virtual energy function E(x) = sum_i E_i(x, y_i)."""
 
@@ -50,12 +36,12 @@ class SummedEnergy:
         if not parts:
             raise ConfigError("need at least one component model")
         self.parts = [(net, label) for net, label in parts]
-        dims = {_part_dim(net) for net, _ in self.parts}
+        dims = {net.config.input_dim for net, _ in self.parts}
         if len(dims) != 1:
             raise DimensionError(
                 f"components disagree on input dimension: {sorted(dims)}")
         for net, label in self.parts:
-            classes = _part_classes(net)
+            classes = net.config.num_classes
             if classes == 0 and label is not None:
                 raise LabelError("unconditional component given a label")
             if classes > 0:
@@ -65,9 +51,7 @@ class SummedEnergy:
                     raise LabelError(f"label {label} out of range 0..{classes - 1}")
         self.config = _SummedConfig(
             input_dim=dims.pop(),
-            spectral_norm=any(
-                getattr(getattr(net, "config", None), "spectral_norm", False)
-                for net, _ in self.parts))
+            spectral_norm=any(net.config.spectral_norm for net, _ in self.parts))
 
     def _labels_for(self, label, n):
         if label is None:
@@ -106,7 +90,7 @@ class SummedEnergy:
 
     def spectral_update(self, iters=None):
         for net, _ in self.parts:
-            if getattr(getattr(net, "config", None), "spectral_norm", False):
+            if net.config.spectral_norm:
                 net.spectral_update(iters=iters)
 
     def lift_parameters(self, tape):

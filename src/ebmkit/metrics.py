@@ -31,6 +31,7 @@ __all__ = [
     "ais_logZ",
     "raise_logZ",
     "auroc",
+    "class_energies",
     "frechet_gaussian",
     "ks_statistic",
     "energy_classify",
@@ -39,12 +40,6 @@ __all__ = [
     "mode_coverage",
     "metric_csv_row",
 ]
-
-
-def _input_dim(net):
-    if hasattr(net, "config"):
-        return net.config.input_dim
-    return net.dim
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +53,7 @@ def log_partition_quadrature(net, bounds, resolution):
     Only 1- and 2-dimensional inputs are supported: the grid is dense.
     """
     bounds = np.asarray(bounds, dtype=np.float64)
-    model_dim = _input_dim(net)
+    model_dim = net.config.input_dim
     if bounds.ndim == 1:
         bounds = np.tile(bounds[None, :], (model_dim, 1))
     if bounds.ndim != 2 or bounds.shape[1] != 2:
@@ -232,7 +227,7 @@ def ais_logZ(net, cfg, rng):
     lower bound of logZ in expectation (Jensen applied to the log of the
     mean weight).
     """
-    d = _input_dim(net)
+    d = net.config.input_dim
     base = _Base(cfg.base, d)
     betas = cfg.ladder()
     x = base.sample(cfg.chains, rng)
@@ -266,7 +261,7 @@ def raise_logZ(net, cfg, rng, samples):
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise DataError(f"samples must be a nonempty (n, d) array, got {samples.shape}")
-    d = _input_dim(net)
+    d = net.config.input_dim
     if samples.shape[1] != d:
         raise DimensionError(f"samples have dimension {samples.shape[1]}, model wants {d}")
     base = _Base(cfg.base, d)
@@ -358,10 +353,11 @@ def ks_statistic(a, b):
 # ---------------------------------------------------------------------------
 # classification, attack, coverage
 
-def _class_energies(net, x):
+def class_energies(net, x):
+    """Energy of each row under each class, shape (batch, num_classes)."""
     n_classes = net.config.num_classes
     if n_classes <= 0:
-        raise LabelError("energy_classify needs a conditional model")
+        raise LabelError("per-class energies need a conditional model")
     x = np.asarray(x, dtype=np.float64)
     cols = [net.energy(x, labels=np.full(x.shape[0], c, dtype=np.intp))
             for c in range(n_classes)]
@@ -370,7 +366,7 @@ def _class_energies(net, x):
 
 def energy_classify(net, x):
     """Lowest-energy label per row; ties go to the lowest class index."""
-    return np.argmin(_class_energies(net, x), axis=1)
+    return np.argmin(class_energies(net, x), axis=1)
 
 
 def refined_classify(net, x, eps, cfg, rng):
@@ -413,7 +409,7 @@ def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
     n_classes = net.config.num_classes
     adv = x0.copy()
     for _ in range(int(steps)):
-        energies = _class_energies(net, adv)
+        energies = class_energies(net, adv)
         logits = -energies
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits)

@@ -1,15 +1,28 @@
-"""Fully-connected energy networks.
+"""Fully-connected networks: one MLP core, two heads.
 
-An EnergyNet maps a batch of points (rows of x) to one real energy per
-row. Hidden layers are affine + activation, optionally followed by a
-per-class gain and bias (h <- gamma_y * h + beta_y) when the model is
-conditional; the final layer is a plain affine map to width 1.
+MLP is the shared dense stack. Hidden layers are affine + activation,
+optionally followed by a per-class gain and bias (FiLM: h <- gamma_y * h +
+beta_y) when the model is conditional; the final layer is a plain affine
+map. The core owns the parameters, initialization, spectral
+normalization, a numpy pass through the hidden layers and one taped
+forward pass. Two thin subclasses sit on it:
+
+- EnergyNet (this module) ends in width 1 and maps each row of x to one
+  real energy, with a closed-form input gradient grad_x;
+- MLPHead (baselines) is an unconditional supervised head with an output
+  of any width.
 
 Spectral normalization divides each weight matrix by its estimated top
 singular value. The estimate comes from a stored left-vector u updated by
 power iteration; the right vector v and the scale sigma = u^T W v are
 derived from (W, u) at use time rather than cached, so a checkpoint that
 stores only (W, b, gamma, beta, u) reproduces forward passes bit-exactly.
+
+Every energy model the toolkit consumes (EnergyNet, the summed
+composition, test stand-ins) follows one protocol: energy(x, labels) and
+grad_x(x, labels) on batches, plus a config with input_dim, num_classes
+and spectral_norm. Trainable models add parameters, lift_parameters,
+taped_energy, clone and, when spectral_norm is set, spectral_update.
 """
 
 from __future__ import annotations
@@ -39,24 +52,15 @@ def activation_slope_bound(kind):
     raise ConfigError(f"unsupported activation {kind!r}")
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _act(z, kind):
     if kind == "swish":
-        return z * _sigmoid(z)
+        return z * ad.stable_sigmoid(z)
     return np.where(z > 0, z, LEAKY_SLOPE * z)
 
 
 def _act_deriv(z, kind):
     if kind == "swish":
-        s = _sigmoid(z)
+        s = ad.stable_sigmoid(z)
         return s + z * s * (1.0 - s)
     return np.where(z > 0, 1.0, LEAKY_SLOPE)
 
@@ -104,7 +108,34 @@ class Layer:
     u: np.ndarray | None = None
 
 
-class EnergyNet:
+def layer_shapes(widths, num_classes, spectral_norm):
+    """Per-layer array shapes, keyed like Layer fields, in storage order
+    (w, b, then gamma and beta on conditional hidden layers, then u when
+    spectral normalization is on)."""
+    shapes = []
+    n_layers = len(widths) - 1
+    for i in range(n_layers):
+        fan_in, fan_out = widths[i], widths[i + 1]
+        entry = {"w": (fan_in, fan_out), "b": (fan_out,)}
+        if num_classes > 0 and i < n_layers - 1:
+            entry["gamma"] = (num_classes, fan_out)
+            entry["beta"] = (num_classes, fan_out)
+        if spectral_norm:
+            entry["u"] = (fan_in,)
+        shapes.append(entry)
+    return shapes
+
+
+def _trainable(layer):
+    """(field, array) pairs of a layer's trainable arrays: w, b, then
+    gamma and beta when present (u is estimator state, not a parameter)."""
+    return [(k, a) for k, a in vars(layer).items() if k != "u" and a is not None]
+
+
+class MLP:
+    """Dense stack with stored-u spectral normalization and optional
+    per-class FiLM; see the module docstring."""
+
     def __init__(self, config, layers):
         self.config = config
         self.layers = layers
@@ -114,20 +145,18 @@ class EnergyNet:
         """Random fresh model; spectral u estimates are warmed up with 50
         power iterations so the first forward pass is already normalized."""
         layers = []
-        n_layers = len(config.widths) - 1
-        for i in range(n_layers):
-            fan_in, fan_out = config.widths[i], config.widths[i + 1]
-            w = rng.normal(size=(fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-            b = np.zeros(fan_out)
-            gamma = beta = None
-            if config.num_classes > 0 and i < n_layers - 1:
-                gamma = np.ones((config.num_classes, fan_out))
-                beta = np.zeros((config.num_classes, fan_out))
-            u = None
-            if config.spectral_norm:
-                u = rng.normal(size=fan_in)
-                u /= np.linalg.norm(u)
-            layers.append(Layer(w=w, b=b, gamma=gamma, beta=beta, u=u))
+        for shapes in layer_shapes(config.widths, config.num_classes,
+                                   config.spectral_norm):
+            fan_in = shapes["w"][0]
+            layer = Layer(w=rng.normal(size=shapes["w"]) * np.sqrt(2.0 / fan_in),
+                          b=np.zeros(shapes["b"]))
+            if "gamma" in shapes:
+                layer.gamma = np.ones(shapes["gamma"])
+                layer.beta = np.zeros(shapes["beta"])
+            if "u" in shapes:
+                u = rng.normal(size=shapes["u"])
+                layer.u = u / np.linalg.norm(u)
+            layers.append(layer)
         net = cls(config, layers)
         if config.spectral_norm:
             net.spectral_update(iters=50)
@@ -137,27 +166,24 @@ class EnergyNet:
 
     def parameters(self):
         """(name, array) pairs in a fixed order; arrays are live references."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.append((f"layer{i}.w", layer.w))
-            out.append((f"layer{i}.b", layer.b))
-            if layer.gamma is not None:
-                out.append((f"layer{i}.gamma", layer.gamma))
-                out.append((f"layer{i}.beta", layer.beta))
-        return out
+        return [(f"layer{i}.{k}", a) for i, layer in enumerate(self.layers)
+                for k, a in _trainable(layer)]
 
     def clone(self):
         layers = [
-            Layer(
-                w=l.w.copy(),
-                b=l.b.copy(),
-                gamma=None if l.gamma is None else l.gamma.copy(),
-                beta=None if l.beta is None else l.beta.copy(),
-                u=None if l.u is None else l.u.copy(),
-            )
+            Layer(**{name: None if arr is None else arr.copy()
+                     for name, arr in vars(l).items()})
             for l in self.layers
         ]
-        return EnergyNet(self.config, layers)
+        return type(self)(self.config, layers)
+
+    def lift_parameters(self, tape):
+        """Create tape leaves (marked as parameters) mirroring the layers.
+
+        Returns a per-layer list of dicts keyed w/b/gamma/beta, in the same
+        order as parameters()."""
+        return [{k: tape.leaf(a, param=True) for k, a in _trainable(layer)}
+                for layer in self.layers]
 
     # -- spectral normalization ---------------------------------------------
 
@@ -200,12 +226,73 @@ class EnergyNet:
             return layer.w
         return layer.w / sigma
 
-    # -- validation ----------------------------------------------------------
+    def _taped_effective_weight(self, layer, w_t):
+        """W / (u^T W v) with u, v fixed at their current estimates, so
+        gradients flow through W only."""
+        if not self.config.spectral_norm or layer.u is None:
+            return w_t
+        wu = layer.w.T @ layer.u
+        n = np.linalg.norm(wu)
+        if n == 0.0:
+            warnings.warn("zero weight matrix, spectral scale skipped")
+            return w_t
+        v = wu / n
+        sigma = ad.sum_all(ad.mul(w_t, ad.constant(np.outer(layer.u, v))))
+        return ad.mul_scalar(w_t, ad.reciprocal(sigma))
 
-    def _check_inputs(self, x, labels):
+    # -- forward passes -------------------------------------------------------
+
+    def _check_x(self, x):
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise DimensionError(
                 f"expected inputs of shape (batch, {self.config.input_dim}), got {x.shape}")
+
+    def _hidden(self, x, labels, w_effs, pre=None):
+        """numpy pass through the hidden layers with the given effective
+        weights; appends each pre-activation to pre when a list is given."""
+        h = x
+        for layer, w in zip(self.layers[:-1], w_effs):
+            z = h @ w + layer.b
+            if pre is not None:
+                pre.append(z)
+            h = _act(z, self.config.activation)
+            if layer.gamma is not None:
+                h = h * layer.gamma[labels] + layer.beta[labels]
+        return h
+
+    def _forward(self, x, labels=None):
+        """numpy outputs, shape (batch, widths[-1])."""
+        w_effs = [self._effective_weight(l) for l in self.layers]
+        return self._hidden(x, labels, w_effs) @ w_effs[-1] + self.layers[-1].b
+
+    def _taped_forward(self, x, labels=None, params=None):
+        """Outputs (batch, widths[-1]) built from recorded operations.
+
+        x is a Tensor (leaf or intermediate) or an array. When params is
+        None the current weights enter as constants so only x is
+        differentiated; pass the structure from lift_parameters() to
+        differentiate the parameters as well.
+        """
+        h = x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
+        for i, layer in enumerate(self.layers):
+            p = (params[i] if params is not None
+                 else {k: ad.constant(a) for k, a in _trainable(layer)})
+            w_eff = self._taped_effective_weight(layer, p["w"])
+            h = ad.add_row(ad.matmul(h, w_eff), p["b"])
+            if i < len(self.layers) - 1:
+                h = ad.activation(h, self.config.activation)
+                if layer.gamma is not None:
+                    h = ad.add(ad.mul(h, ad.take_rows(p["gamma"], labels)),
+                               ad.take_rows(p["beta"], labels))
+        return h
+
+
+class EnergyNet(MLP):
+    """Scalar energy per batch row, optionally conditioned on a class
+    label per row."""
+
+    def _check_inputs(self, x, labels):
+        self._check_x(x)
         if self.config.num_classes == 0:
             if labels is not None:
                 raise LabelError("model is unconditional but labels were given")
@@ -219,21 +306,11 @@ class EnergyNet:
             raise LabelError("label out of range")
         return labels
 
-    # -- fast numpy forward/backward ------------------------------------------
-
     def energy(self, x, labels=None):
         """Energy per batch row, shape (batch,)."""
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
-        h = x
-        for i, layer in enumerate(self.layers[:-1]):
-            z = h @ self._effective_weight(layer) + layer.b
-            h = _act(z, self.config.activation)
-            if layer.gamma is not None:
-                h = h * layer.gamma[labels] + layer.beta[labels]
-        last = self.layers[-1]
-        out = h @ self._effective_weight(last) + last.b
-        return out[:, 0]
+        return self._forward(x, labels)[:, 0]
 
     def grad_x(self, x, labels=None):
         """d energy[i] / d x[i], shape (batch, d). Rows are independent."""
@@ -241,13 +318,7 @@ class EnergyNet:
         labels = self._check_inputs(x, labels)
         w_effs = [self._effective_weight(l) for l in self.layers]
         pre = []
-        h = x
-        for i, layer in enumerate(self.layers[:-1]):
-            z = h @ w_effs[i] + layer.b
-            pre.append(z)
-            h = _act(z, self.config.activation)
-            if layer.gamma is not None:
-                h = h * layer.gamma[labels] + layer.beta[labels]
+        self._hidden(x, labels, w_effs, pre)
         g = np.repeat(w_effs[-1].T, x.shape[0], axis=0)
         for i in range(len(self.layers) - 2, -1, -1):
             layer = self.layers[i]
@@ -257,60 +328,9 @@ class EnergyNet:
             g = g @ w_effs[i].T
         return g
 
-    # -- taped forward ---------------------------------------------------------
-
-    def lift_parameters(self, tape):
-        """Create tape leaves (marked as parameters) mirroring the layers.
-
-        Returns a per-layer list of dicts keyed w/b/gamma/beta, in the same
-        order as parameters()."""
-        lifted = []
-        for layer in self.layers:
-            entry = {
-                "w": tape.leaf(layer.w, param=True),
-                "b": tape.leaf(layer.b, param=True),
-            }
-            if layer.gamma is not None:
-                entry["gamma"] = tape.leaf(layer.gamma, param=True)
-                entry["beta"] = tape.leaf(layer.beta, param=True)
-            lifted.append(entry)
-        return lifted
-
     def taped_energy(self, x, labels=None, params=None):
-        """Forward pass built from recorded operations.
-
-        x is a Tensor (leaf or intermediate). When params is None the
-        current weights enter as constants so only x is differentiated;
-        pass the structure from lift_parameters() to differentiate the
-        parameters as well. The spectral scale is u^T W v with u, v fixed
-        at their current estimates, so gradients flow through W only.
-        """
+        """Energy per row, shape (batch,), as a taped tensor; x and params
+        as for MLP._taped_forward."""
         xv = x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(xv, labels)
-        h = x if isinstance(x, ad.Tensor) else ad.constant(xv)
-        for i, layer in enumerate(self.layers):
-            entry = params[i] if params is not None else None
-            w_t = entry["w"] if entry else ad.constant(layer.w)
-            b_t = entry["b"] if entry else ad.constant(layer.b)
-            w_eff = self._taped_effective_weight(layer, w_t)
-            h = ad.add_row(ad.matmul(h, w_eff), b_t)
-            if i < len(self.layers) - 1:
-                h = ad.activation(h, self.config.activation)
-                if layer.gamma is not None:
-                    g_t = entry["gamma"] if entry else ad.constant(layer.gamma)
-                    be_t = entry["beta"] if entry else ad.constant(layer.beta)
-                    h = ad.add(ad.mul(h, ad.take_rows(g_t, labels)),
-                               ad.take_rows(be_t, labels))
-        return ad.reshape(h, (xv.shape[0],))
-
-    def _taped_effective_weight(self, layer, w_t):
-        if not self.config.spectral_norm or layer.u is None:
-            return w_t
-        wu = layer.w.T @ layer.u
-        n = np.linalg.norm(wu)
-        if n == 0.0:
-            warnings.warn("zero weight matrix, spectral scale skipped")
-            return w_t
-        v = wu / n
-        sigma = ad.sum_all(ad.mul(w_t, ad.constant(np.outer(layer.u, v))))
-        return ad.mul_scalar(w_t, ad.reciprocal(sigma))
+        return ad.reshape(self._taped_forward(x, labels, params), (xv.shape[0],))

@@ -238,8 +238,13 @@ def inpaint(x_corrupt, mask, net, cfg, rng, labels=None):
     mask marks the unknown components; everything else is preserved
     bit-exactly. Returns the restored batch.
     """
-    cfg = replace(cfg, mask=np.asarray(mask, dtype=bool))
-    restored, _ = run_chain(x_corrupt, net, cfg, rng, labels=labels, trace=False)
+    x = np.asarray(x_corrupt, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if x.ndim != 2 or mask.shape != (x.shape[1],):
+        raise DimensionError(
+            f"mask shape {mask.shape} does not match inputs of shape {x.shape}")
+    cfg = replace(cfg, mask=mask)
+    restored, _ = run_chain(x, net, cfg, rng, labels=labels, trace=False)
     return restored
 
 

@@ -85,12 +85,6 @@ class StepReport:
     loss: float
     wall_ms: float
 
-    CSV_HEADER = "step,e_pos,e_neg,loss,wall_ms"
-
-    def csv_row(self):
-        return (f"{self.step},{self.e_pos:.10g},{self.e_neg:.10g},"
-                f"{self.loss:.10g},{self.wall_ms:.3f}")
-
 
 def contrastive_loss(e_pos, e_neg, alpha):
     """Scalar training objective; see the module docstring.
@@ -112,17 +106,20 @@ def adam_step(params, grads, state, cfg):
     clipped to magnitude clip_sigmas * sqrt(v_hat) + adam_eps, where
     v_hat is the bias-corrected second moment from *previous* steps. The
     very first step has no history and is not clipped (its own v_hat
-    would be the squared gradient, making the bound circular).
+    would be the squared gradient, making the bound circular). Every
+    gradient is checked before anything is updated, so a bad one leaves
+    the parameters and the state untouched.
     """
+    for name, p in params:
+        if grads[name].shape != p.shape:
+            raise ContractError(f"gradient shape mismatch for {name}")
+        if not np.all(np.isfinite(grads[name])):
+            raise TrainingDivergedError(f"non-finite gradient for {name}")
     t_prev = state.t
     state.t = t_prev + 1
     t = state.t
     for name, p in params:
         g = grads[name]
-        if g.shape != p.shape:
-            raise ContractError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient for {name}")
         if t_prev > 0:
             v_hat_prev = state.v[name] / (1.0 - cfg.beta2 ** t_prev)
             bound = cfg.clip_sigmas * np.sqrt(v_hat_prev) + cfg.adam_eps
@@ -136,12 +133,6 @@ def adam_step(params, grads, state, cfg):
         m_hat = m / (1.0 - cfg.beta1 ** t)
         v_hat = v / (1.0 - cfg.beta2 ** t)
         p -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-
-
-def _maybe_spectral_update(net):
-    config = getattr(net, "config", None)
-    if config is not None and getattr(config, "spectral_norm", False):
-        net.spectral_update()
 
 
 def train_step(net, batch, buffer, cfg, state, rng, labels=None):
@@ -170,7 +161,8 @@ def train_step(net, batch, buffer, cfg, state, rng, labels=None):
     names = [name for name, _ in net.parameters()]
     grads = {name: g.data for name, g in zip(names, grad_tensors)}
     adam_step(net.parameters(), grads, state, cfg)
-    _maybe_spectral_update(net)
+    if net.config.spectral_norm:
+        net.spectral_update()
     buffer.insert(x_neg, labels)
 
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -265,5 +257,6 @@ def kl_finetune_step(net, snapshot, cfg, state, rng, *, langevin=None,
     loss, grads = kl_finetune_loss(net, snapshot, langevin, rng, init,
                                    labels=labels)
     adam_step(net.parameters(), grads, state, cfg)
-    _maybe_spectral_update(net)
+    if net.config.spectral_norm:
+        net.spectral_update()
     return loss

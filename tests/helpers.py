@@ -2,8 +2,13 @@
 
 Everything here is deliberately independent of the package internals:
 finite differences and brute-force evaluation only, so tests compare the
-library against arithmetic a reviewer can redo by hand.
+library against arithmetic a reviewer can redo by hand. Analytic energy
+models and malformed-checkpoint builders are shared here too.
 """
+
+import json
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,6 +50,13 @@ def central_diff(f, x, h=1e-5):
     return grad
 
 
+def energy_config(input_dim):
+    """The config every energy model carries, for an unconditional model
+    without spectral normalization."""
+    return SimpleNamespace(input_dim=input_dim, num_classes=0,
+                           spectral_norm=False)
+
+
 def relative_error(approx, exact):
     """Max elementwise |approx - exact| / max(1, |exact|)."""
     approx = np.asarray(approx, dtype=np.float64)
@@ -56,19 +68,16 @@ def relative_error(approx, exact):
 class QuadraticEnergy:
     """Hand-checkable energy 0.5 (x-mu)^T P (x-mu) with exact gradient.
 
-    Matches the duck-typed interface the sampler and estimators expect
-    (energy / grad_x on batches). With mu=0, P=I this is 0.5 ||x||^2 and
-    the Boltzmann density exp(-E)/Z is standard normal.
+    Follows the energy-model protocol the sampler and estimators expect
+    (a config, energy / grad_x on batches). With mu=0, P=I this is
+    0.5 ||x||^2 and the Boltzmann density exp(-E)/Z is standard normal.
     """
 
     def __init__(self, mu=None, prec=None, dim=2):
         self.mu = np.zeros(dim) if mu is None else np.asarray(mu, dtype=np.float64)
         d = self.mu.size
         self.prec = np.eye(d) if prec is None else np.asarray(prec, dtype=np.float64)
-
-    @property
-    def dim(self):
-        return self.mu.size
+        self.config = energy_config(d)
 
     def energy(self, x, labels=None):
         delta = np.asarray(x, dtype=np.float64) - self.mu
@@ -100,10 +109,7 @@ class GaussianMixtureEnergy:
             np.asarray(sigmas, dtype=np.float64), (k,)).copy()
         self.weights = (np.full(k, 1.0 / k) if weights is None
                         else np.asarray(weights, dtype=np.float64))
-
-    @property
-    def dim(self):
-        return self.means.shape[1]
+        self.config = energy_config(self.means.shape[1])
 
     def _component_logs(self, x):
         d = self.means.shape[1]
@@ -137,14 +143,15 @@ class GaussianMixtureEnergy:
 class TapedQuadratic:
     """Trainable two-parameter energy E(x) = 0.5 * w * ||x - mu||^2.
 
-    Implements the same duck-typed surface as the package's energy nets
-    (parameters / lift_parameters / taped_energy / energy / grad_x) so it
+    Implements the same protocol as the package's energy nets (config /
+    parameters / lift_parameters / taped_energy / energy / grad_x) so it
     can stand in wherever a tiny analytic model makes the math checkable.
     """
 
     def __init__(self, mu, w=1.0):
         self.mu = np.asarray(mu, dtype=np.float64)
         self.w = np.asarray(float(w))
+        self.config = energy_config(self.mu.size)
 
     def parameters(self):
         return [("mu", self.mu), ("w", self.w)]
@@ -172,3 +179,34 @@ class TapedQuadratic:
 
     def grad_x(self, x, labels=None):
         return float(self.w) * (np.asarray(x, dtype=np.float64) - self.mu)
+
+
+def with_manifest(raw, edit):
+    """Checkpoint bytes whose manifest is replaced by edit(manifest)."""
+    mlen = struct.unpack("<I", raw[8:12])[0]
+    manifest = edit(json.loads(raw[12:12 + mlen]))
+    mbytes = json.dumps(manifest).encode("utf-8")
+    return raw[:8] + struct.pack("<I", len(mbytes)) + mbytes + raw[12 + mlen:]
+
+
+def _drop_model(m):
+    del m["model"]
+    return m
+
+
+def _unknown_model_key(m):
+    m["model"]["depth"] = 3
+    return m
+
+
+def _string_widths(m):
+    m["model"]["widths"] = "ab"
+    return m
+
+
+MALFORMED_MANIFESTS = {
+    "missing-model": _drop_model,
+    "unknown-model-key": _unknown_model_key,
+    "json-list": lambda m: [m],
+    "string-widths": _string_widths,
+}

@@ -13,6 +13,8 @@ from ebmkit.model import EnergyNet, ModelConfig
 from ebmkit.sampler import ReplayBuffer
 from ebmkit.trainer import AdamState, TrainConfig
 
+from helpers import MALFORMED_MANIFESTS, with_manifest
+
 
 def _net(seed, widths=(3, 8, 8, 1), num_classes=0, spectral_norm=True):
     cfg = ModelConfig(widths=widths, num_classes=num_classes,
@@ -162,6 +164,16 @@ def test_rejects_malformed_files(tmp_path):
     header_only.write_bytes(bytes(raw[:8]))
     with pytest.raises(ContractError):
         load_checkpoint(header_only)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_a_contract_error(tmp_path, case):
+    path = tmp_path / "ok.ebm"
+    save_checkpoint(path, _net(11))
+    bad = tmp_path / "bad.ebm"
+    bad.write_bytes(with_manifest(path.read_bytes(), MALFORMED_MANIFESTS[case]))
+    with pytest.raises(ContractError, match="malformed checkpoint manifest"):
+        load_checkpoint(bad)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -18,8 +18,11 @@ import numpy as np
 import pytest
 
 import ebmkit
-from ebmkit.checkpoint import load_checkpoint
+from ebmkit.checkpoint import load_checkpoint, save_checkpoint
 from ebmkit.cli import main
+from ebmkit.model import EnergyNet, ModelConfig
+
+from helpers import MALFORMED_MANIFESTS, with_manifest
 
 ONED_YAML = textwrap.dedent("""\
     model:
@@ -433,6 +436,20 @@ def test_missing_checkpoint_reports_io_error(workdir, capsys):
                  "--out", str(workdir / "x.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error io:")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_reports_contract_error(workdir, capsys, case):
+    good = workdir / "manifest-ok.ebm"
+    save_checkpoint(good, EnergyNet.init(ModelConfig(widths=(2, 4, 1)),
+                                         np.random.default_rng(0)))
+    bad = workdir / f"manifest-{case}.ebm"
+    bad.write_bytes(with_manifest(good.read_bytes(), MALFORMED_MANIFESTS[case]))
+    code = main(["sample", "--checkpoint", str(bad),
+                 "--out", str(workdir / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error contract:") and err.count("\n") == 1
 
 
 def test_malformed_yaml_reports_config_error(workdir, capsys):

@@ -10,7 +10,7 @@ from ebmkit.model import EnergyNet, ModelConfig
 from ebmkit.sampler import LangevinConfig, ReplayBuffer, run_chain
 from ebmkit.trainer import AdamState, TrainConfig, train_step
 
-from helpers import QuadraticEnergy
+from helpers import QuadraticEnergy, energy_config
 
 
 class RidgeEnergy:
@@ -20,7 +20,7 @@ class RidgeEnergy:
         self.axis = axis
         self.value = value
         self.k = curvature
-        self.dim = dim
+        self.config = energy_config(dim)
 
     def energy(self, x, labels=None):
         d = x[:, self.axis] - self.value

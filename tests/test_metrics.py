@@ -12,7 +12,7 @@ from ebmkit.model import EnergyNet, ModelConfig
 from ebmkit.sampler import LangevinConfig, ReplayBuffer
 from ebmkit.trainer import AdamState, TrainConfig, train_step
 
-from helpers import QuadraticEnergy, ks_oracle
+from helpers import QuadraticEnergy, energy_config, ks_oracle
 
 
 class FlatEnergy:
@@ -20,7 +20,7 @@ class FlatEnergy:
 
     def __init__(self, c=0.0, dim=1):
         self.c = c
-        self.dim = dim
+        self.config = energy_config(dim)
 
     def energy(self, x, labels=None):
         return np.full(np.asarray(x).shape[0], float(self.c))
@@ -32,7 +32,7 @@ class FlatEnergy:
 class BottomlessEnergy:
     """E = +inf everywhere: every annealing weight vanishes."""
 
-    dim = 1
+    config = energy_config(1)
 
     def energy(self, x, labels=None):
         return np.full(np.asarray(x).shape[0], np.inf)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebmkit import autodiff as ad
+from ebmkit.baselines import HeadConfig, MLPHead
 from ebmkit.errors import ConfigError, DimensionError, LabelError
-from ebmkit.model import (EnergyNet, Layer, ModelConfig,
+from ebmkit.model import (ACTIVATIONS, EnergyNet, Layer, ModelConfig,
                           activation_slope_bound)
 
 from helpers import QuadraticEnergy, central_diff, relative_error
@@ -253,3 +256,54 @@ class TestTapedForward:
         copy = net.clone()
         copy.layers[0].w[0, 0] += 1.0
         assert net.layers[0].w[0, 0] != copy.layers[0].w[0, 0]
+
+
+# -- the MLP core shared by EnergyNet and MLPHead ------------------------------
+
+CORE_SETTINGS = settings(max_examples=12, deadline=None, database=None)
+
+
+@CORE_SETTINGS
+@given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       activation=st.sampled_from(ACTIVATIONS),
+       num_classes=st.sampled_from((0, 3)),
+       spectral=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_core_input_gradients_agree(widths, activation, num_classes, spectral,
+                                    seed):
+    """grad_x, the taped gradient of taped_energy and central differences
+    of energy agree on random small conditional and unconditional nets."""
+    rng = np.random.default_rng(seed)
+    net = small_net(widths=(*widths, 1), activation=activation,
+                    num_classes=num_classes, spectral=spectral, seed=seed)
+    for layer in net.layers:
+        if layer.gamma is not None:
+            layer.gamma = rng.normal(size=layer.gamma.shape)
+            layer.beta = rng.normal(size=layer.beta.shape)
+    x = rng.uniform(-1.0, 2.0, size=(4, widths[0]))
+    labels = None if num_classes == 0 else rng.integers(0, num_classes, size=4)
+    with ad.Tape() as tape:
+        leaf = tape.leaf(x)
+        (taped,) = ad.gradient(ad.sum_all(net.taped_energy(leaf, labels)),
+                               [leaf])
+    fd = central_diff(lambda v: float(net.energy(v, labels).sum()), x)
+    analytic = net.grad_x(x, labels)
+    assert relative_error(taped.data, analytic) < 1e-9
+    assert relative_error(fd, analytic) < 1e-4
+
+
+@CORE_SETTINGS
+@given(widths=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       activation=st.sampled_from(ACTIVATIONS),
+       spectral=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_head_forward_matches_taped_forward(widths, activation, spectral, seed):
+    cfg = HeadConfig(widths=widths, activation=activation,
+                     spectral_norm=spectral)
+    rng = np.random.default_rng(seed)
+    head = MLPHead.init(cfg, rng)
+    x = rng.uniform(-1.0, 2.0, size=(5, widths[0]))
+    with ad.Tape():
+        taped = head.taped_forward(x)
+    np.testing.assert_allclose(taped.data, head.forward(x), rtol=1e-10,
+                               atol=1e-12)

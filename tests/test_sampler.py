@@ -254,6 +254,13 @@ class TestInpaint:
                       np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
 
+    def test_wrong_mask_length_rejected_without_steps(self):
+        net = QuadraticEnergy(dim=3)
+        x = np.random.default_rng(11).uniform(size=(4, 3))
+        with pytest.raises(DimensionError):
+            inpaint(x, np.zeros(2, dtype=bool), net, LangevinConfig(steps=0),
+                    np.random.default_rng(0))
+
     def test_restores_coordinate_to_conditional_mode(self):
         """Observed first coordinate pins the restored point to a mode row
         consistent with it; conditional modes located by 1D quadrature."""

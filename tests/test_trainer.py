@@ -6,7 +6,7 @@ from ebmkit.errors import (ConfigError, ContractError, TapeDepthError,
                            TrainingDivergedError)
 from ebmkit.model import EnergyNet, ModelConfig
 from ebmkit.sampler import LangevinConfig, ReplayBuffer
-from ebmkit.trainer import (AdamState, StepReport, TrainConfig, adam_step,
+from ebmkit.trainer import (AdamState, TrainConfig, adam_step,
                             contrastive_loss, kl_finetune_loss,
                             kl_finetune_step, train_step)
 
@@ -106,6 +106,19 @@ class TestAdamStep:
         with pytest.raises(TrainingDivergedError):
             adam_step(params, {"p": np.array([np.nan])}, state, self.cfg)
 
+    def test_bad_later_gradient_leaves_state_untouched(self):
+        a, b = np.array([0.0, 0.0]), np.array([1.0])
+        params = [("a", a), ("b", b)]
+        state = AdamState.for_parameters(params)
+        for grads in ({"a": np.ones(2), "b": np.array([np.nan])},
+                      {"a": np.ones(2), "b": np.zeros(2)}):
+            with pytest.raises((TrainingDivergedError, ContractError)):
+                adam_step(params, grads, state, self.cfg)
+            assert state.t == 0
+            assert np.array_equal(a, [0.0, 0.0]) and np.array_equal(b, [1.0])
+            for name in ("a", "b"):
+                assert not state.m[name].any() and not state.v[name].any()
+
     def test_shape_mismatch_rejected(self):
         p = np.array([1.0])
         params = [("p", p)]
@@ -166,14 +179,6 @@ class TestTrainStep:
             return [(r.step, r.e_pos, r.e_neg, r.loss) for r in reports]
 
         assert run() == run()
-
-    def test_csv_row_format(self):
-        report = StepReport(step=3, e_pos=0.5, e_neg=-0.25, loss=1.5,
-                            wall_ms=12.0)
-        assert StepReport.CSV_HEADER.split(",") == [
-            "step", "e_pos", "e_neg", "loss", "wall_ms"]
-        row = report.csv_row().split(",")
-        assert row[0] == "3" and float(row[1]) == 0.5 and float(row[3]) == 1.5
 
     def test_gradient_estimator_matches_analytic_ml_gradient(self):
         """With exact negatives from p_theta, the alpha=0 loss gradient
