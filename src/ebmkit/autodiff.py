@@ -225,13 +225,15 @@ _FORWARD = {
 
 
 def stable_sigmoid(x):
-    """Elementwise 1 / (1 + exp(-x)) on a plain array, overflow-safe:
-    exp is only ever taken of a non-positive argument."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Elementwise 1 / (1 + exp(-x)) on a plain array, overflow-safe and
+    mask-free: exp is only ever taken of -|x|, in place in a buffer made
+    explicitly (a ufunc on a 0-d array would return a read-only scalar)."""
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

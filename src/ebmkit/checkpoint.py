@@ -26,6 +26,7 @@ directory and renamed into place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .model import EnergyNet, Layer, ModelConfig, layer_shapes
 from .sampler import ReplayBuffer
 from .trainer import AdamState
@@ -137,7 +138,7 @@ class _Reader:
         return out
 
     def array(self, shape, what, dtype=_F8):
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = math.prod(shape)
         raw = self.take(n * dtype.itemsize, what)
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
@@ -145,26 +146,53 @@ class _Reader:
 _BLOB_NAMES = {"w": "layer weights", "b": "layer biases", "gamma": "class gains",
                "beta": "class biases", "u": "spectral vector"}
 
-# manifest buffer fields and their types
-_BUFFER_FIELDS = {"count": int, "dim": int, "labeled": bool, "capacity": int,
-                  "uniform_prob": float}
+def _malformed(what):
+    return ContractError(f"malformed checkpoint manifest: {what}")
+
+
+def _typed(section, key, kinds):
+    """section[key], which must be exactly of one of the given JSON types
+    (bool is not an int here, and an integer field rejects 1.0)."""
+    value = section[key]
+    if type(value) not in kinds:
+        raise _malformed(f"{key} must be {' or '.join(k.__name__ for k in kinds)}, "
+                         f"got {value!r}")
+    return value
 
 
 def _parse_manifest(manifest):
     """(ModelConfig, Adam step or None, buffer facts or None) from a
-    decoded manifest; a missing or mistyped entry is a ContractError."""
+    decoded manifest; a missing, mistyped or inconsistent entry is a
+    ContractError. Counts and extents must be JSON integers."""
     try:
         model = dict(manifest["model"])
-        model["widths"] = tuple(model["widths"])
+        widths = _typed(model, "widths", (list,))
+        if not all(type(w) is int for w in widths):
+            raise _malformed(f"widths must be integers, got {widths!r}")
+        model["widths"] = tuple(widths)
+        for key, kinds in (("num_classes", (int,)), ("power_iters", (int,)),
+                           ("spectral_norm", (bool,))):
+            if key in model:
+                _typed(model, key, kinds)
         config = ModelConfig(**model)
         adam = manifest.get("adam")
-        adam_t = None if adam is None else int(adam["t"])
+        adam_t = None if adam is None else _typed(adam, "t", (int,))
         binfo = manifest.get("buffer")
         if binfo is not None:
-            binfo = {k: kind(binfo[k]) for k, kind in _BUFFER_FIELDS.items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(
-            f"malformed checkpoint manifest: {type(exc).__name__} {exc}") from exc
+            binfo = {k: _typed(binfo, k, kinds) for k, kinds in (
+                ("count", (int,)), ("dim", (int,)), ("capacity", (int,)),
+                ("labeled", (bool,)), ("uniform_prob", (float, int)))}
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise _malformed(f"{type(exc).__name__} {exc}") from exc
+    if adam_t is not None and adam_t < 0:
+        raise _malformed(f"adam step {adam_t} is negative")
+    if binfo is not None:
+        if not 0 <= binfo["count"] <= binfo["capacity"]:
+            raise _malformed(f"buffer count {binfo['count']} outside "
+                             f"[0, capacity {binfo['capacity']}]")
+        if binfo["dim"] != config.input_dim and (binfo["count"] or binfo["dim"]):
+            raise _malformed(f"buffer dimension {binfo['dim']} does not match "
+                             f"the model input dimension {config.input_dim}")
     return config, adam_t, binfo
 
 
@@ -208,10 +236,14 @@ def load_checkpoint(path):
         samples = reader.array((count, binfo["dim"]), "buffer samples")
         labels = (reader.array((count,), "buffer labels", dtype=_I8)
                   if binfo["labeled"] else None)
-        buffer = ReplayBuffer(capacity=binfo["capacity"],
-                              uniform_prob=binfo["uniform_prob"])
-        if count:
-            buffer.load(samples, labels)
+        try:
+            buffer = ReplayBuffer(capacity=binfo["capacity"],
+                                  uniform_prob=binfo["uniform_prob"])
+            if binfo["dim"]:
+                # an empty buffer that has seen a batch keeps its shape
+                buffer.insert(samples, labels)
+        except (ConfigError, MemoryError, ValueError) as exc:
+            raise _malformed(f"replay buffer cannot be built: {exc}") from exc
     if reader.offset != len(data):
         raise ContractError(
             f"{len(data) - reader.offset} trailing bytes after checkpoint blobs")

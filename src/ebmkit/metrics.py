@@ -5,7 +5,9 @@ not share code: a grid quadrature oracle (exact up to discretization,
 dimensions 1-2 only), annealed importance sampling (stochastic lower
 bound in expectation), and its reverse-annealed counterpart (stochastic
 upper bound). [raise, ais] therefore brackets the true logZ, and the
-quadrature value should fall inside the bracket.
+quadrature value should fall inside the bracket. Their MALA sweeps carry
+each chain's net energy and gradient along with its state, so one
+transition costs one energy and one grad_x call.
 
 The remaining metrics are standard: Mann-Whitney AUROC, the Gaussian
 Frechet distance in Dowson-Landau closed form, a two-sample KS statistic,
@@ -166,14 +168,6 @@ class _Base:
         return 0.5 * self.d * np.log(2.0 * np.pi)
 
 
-def _rung_energy(net, base, beta, x):
-    return (1.0 - beta) * base.energy(x) + beta * net.energy(x)
-
-
-def _rung_grad(net, base, beta, x):
-    return (1.0 - beta) * base.grad(x) + beta * net.grad_x(x)
-
-
 def _tamed_drift(g, h, clip):
     """Langevin drift -h/2 g with its row norm capped at clip * sqrt(h).
 
@@ -190,19 +184,27 @@ def _tamed_drift(g, h, clip):
     return drift * scale
 
 
-def _mala_sweep(net, base, beta, x, u, cfg, rng):
+def _mala_sweep(net, base, beta, x, e, g, cfg, rng):
     """Metropolis-adjusted Langevin transitions leaving the rung's
-    distribution invariant. u carries the current rung energies so they
-    are not recomputed; returns the updated (x, u)."""
+    distribution invariant. The state carried is x with net's energy e
+    and gradient g there, so neither is recomputed: a proposal's net
+    energy and gradient become the state's on acceptance. Returns the
+    updated (x, e, g)."""
     h = cfg.step_size
+
+    def mix(base_part, net_part):
+        return (1.0 - beta) * base_part + beta * net_part
+
+    u = mix(base.energy(x), e)
     for _ in range(cfg.transitions):
-        g = _rung_grad(net, base, beta, x)
-        mean_fwd = x + _tamed_drift(g, h, cfg.drift_clip)
+        mean_fwd = x + _tamed_drift(mix(base.grad(x), g), h, cfg.drift_clip)
         prop = mean_fwd + np.sqrt(h) * rng.normal(size=x.shape)
         ok = base.in_support(prop)
-        u_prop = np.where(ok, _rung_energy(net, base, beta, prop), np.inf)
-        g_prop = _rung_grad(net, base, beta, np.where(ok[:, None], prop, x))
-        mean_bwd = prop + _tamed_drift(g_prop, h, cfg.drift_clip)
+        e_prop = net.energy(prop)
+        u_prop = np.where(ok, mix(base.energy(prop), e_prop), np.inf)
+        at = np.where(ok[:, None], prop, x)
+        g_prop = net.grad_x(at)
+        mean_bwd = prop + _tamed_drift(mix(base.grad(at), g_prop), h, cfg.drift_clip)
         log_q_fwd = -np.sum((prop - mean_fwd) ** 2, axis=1) / (2.0 * h)
         log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h)
         with np.errstate(invalid="ignore"):
@@ -210,7 +212,9 @@ def _mala_sweep(net, base, beta, x, u, cfg, rng):
         accept = np.log(rng.uniform(size=x.shape[0])) < log_accept
         x = np.where(accept[:, None], prop, x)
         u = np.where(accept, u_prop, u)
-    return x, u
+        e = np.where(accept, e_prop, e)
+        g = np.where(accept[:, None], g_prop, g)
+    return x, e, g
 
 
 def _log_mean_exp(logw):
@@ -232,14 +236,10 @@ def ais_logZ(net, cfg, rng):
     betas = cfg.ladder()
     x = base.sample(cfg.chains, rng)
     logw = np.zeros(cfg.chains)
-    e_base = base.energy(x)
-    e_target = net.energy(x)
+    e, g = net.energy(x), net.grad_x(x)
     for t in range(1, len(betas)):
-        logw += (betas[t] - betas[t - 1]) * (e_base - e_target)
-        u = (1.0 - betas[t]) * e_base + betas[t] * e_target
-        x, u = _mala_sweep(net, base, betas[t], x, u, cfg, rng)
-        e_base = base.energy(x)
-        e_target = net.energy(x)
+        logw += (betas[t] - betas[t - 1]) * (base.energy(x) - e)
+        x, e, g = _mala_sweep(net, base, betas[t], x, e, g, cfg, rng)
     estimate = base.log_partition + _log_mean_exp(logw)
     m = np.max(logw)
     w = np.exp(logw - m)
@@ -269,14 +269,10 @@ def raise_logZ(net, cfg, rng, samples):
     rows = rng.integers(0, samples.shape[0], size=cfg.chains)
     x = samples[rows]
     logw = np.zeros(cfg.chains)
-    e_base = base.energy(x)
-    e_target = net.energy(x)
+    e, g = net.energy(x), net.grad_x(x)
     for t in range(len(betas) - 2, -1, -1):
-        logw += (betas[t + 1] - betas[t]) * (e_target - e_base)
-        u = (1.0 - betas[t]) * e_base + betas[t] * e_target
-        x, u = _mala_sweep(net, base, betas[t], x, u, cfg, rng)
-        e_base = base.energy(x)
-        e_target = net.energy(x)
+        logw += (betas[t + 1] - betas[t]) * (e - base.energy(x))
+        x, e, g = _mala_sweep(net, base, betas[t], x, e, g, cfg, rng)
     return base.log_partition - _log_mean_exp(logw)
 
 

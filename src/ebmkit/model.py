@@ -8,7 +8,8 @@ normalization, a numpy pass through the hidden layers and one taped
 forward pass. Two thin subclasses sit on it:
 
 - EnergyNet (this module) ends in width 1 and maps each row of x to one
-  real energy, with a closed-form input gradient grad_x;
+  real energy, with a closed-form input gradient grad_x whose hidden pass
+  also yields each layer's activation derivative (one sigmoid per layer);
 - MLPHead (baselines) is an unconditional supervised head with an output
   of any width.
 
@@ -52,17 +53,18 @@ def activation_slope_bound(kind):
     raise ConfigError(f"unsupported activation {kind!r}")
 
 
-def _act(z, kind):
-    if kind == "swish":
-        return z * ad.stable_sigmoid(z)
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
-
-
-def _act_deriv(z, kind):
+def _act(z, kind, derivs=None):
+    """Activation of z; appends its derivative to derivs when a list is
+    given. Swish takes one sigmoid s for both: z s and s + z s (1 - s)."""
     if kind == "swish":
         s = ad.stable_sigmoid(z)
-        return s + z * s * (1.0 - s)
-    return np.where(z > 0, 1.0, LEAKY_SLOPE)
+        zs = z * s
+        if derivs is not None:
+            derivs.append(s + zs * (1.0 - s))
+        return zs
+    if derivs is not None:
+        derivs.append(np.where(z > 0, 1.0, LEAKY_SLOPE))
+    return np.where(z > 0, z, LEAKY_SLOPE * z)
 
 
 @dataclass
@@ -247,15 +249,13 @@ class MLP:
             raise DimensionError(
                 f"expected inputs of shape (batch, {self.config.input_dim}), got {x.shape}")
 
-    def _hidden(self, x, labels, w_effs, pre=None):
+    def _hidden(self, x, labels, w_effs, derivs=None):
         """numpy pass through the hidden layers with the given effective
-        weights; appends each pre-activation to pre when a list is given."""
+        weights; appends each activation derivative to derivs when a list
+        is given."""
         h = x
         for layer, w in zip(self.layers[:-1], w_effs):
-            z = h @ w + layer.b
-            if pre is not None:
-                pre.append(z)
-            h = _act(z, self.config.activation)
+            h = _act(h @ w + layer.b, self.config.activation, derivs)
             if layer.gamma is not None:
                 h = h * layer.gamma[labels] + layer.beta[labels]
         return h
@@ -317,14 +317,14 @@ class EnergyNet(MLP):
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
         w_effs = [self._effective_weight(l) for l in self.layers]
-        pre = []
-        self._hidden(x, labels, w_effs, pre)
+        derivs = []
+        self._hidden(x, labels, w_effs, derivs)
         g = np.repeat(w_effs[-1].T, x.shape[0], axis=0)
         for i in range(len(self.layers) - 2, -1, -1):
             layer = self.layers[i]
             if layer.gamma is not None:
                 g = g * layer.gamma[labels]
-            g = g * _act_deriv(pre[i], self.config.activation)
+            g = g * derivs[i]
             g = g @ w_effs[i].T
         return g
 

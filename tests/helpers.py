@@ -3,7 +3,10 @@
 Everything here is deliberately independent of the package internals:
 finite differences and brute-force evaluation only, so tests compare the
 library against arithmetic a reviewer can redo by hand. Analytic energy
-models and malformed-checkpoint builders are shared here too.
+models and malformed-checkpoint builders are shared here too, and so are
+the earlier, slower forms of two kernels (the masked sigmoid with a
+two-sigmoid input gradient, and the MALA sweep that recomputes energies
+and gradients), kept as bit-exact oracles for their replacements.
 """
 
 import json
@@ -204,9 +207,177 @@ def _string_widths(m):
     return m
 
 
+def _set(section, key, value):
+    def edit(m):
+        m[section][key] = value
+        return m
+    return edit
+
+
 MALFORMED_MANIFESTS = {
     "missing-model": _drop_model,
     "unknown-model-key": _unknown_model_key,
     "json-list": lambda m: [m],
     "string-widths": _string_widths,
+    "float-width": _set("model", "widths", [2, 4.0, 1]),
+    "bool-width": _set("model", "widths", [2, True, 1]),
+    "float-num-classes": _set("model", "num_classes", 2.5),
+    "bool-num-classes": _set("model", "num_classes", True),
+    "float-power-iters": _set("model", "power_iters", 1.5),
+    "string-spectral-norm": _set("model", "spectral_norm", "yes"),
+    "float-adam-step": _set("adam", "t", 3.0),
+    "negative-adam-step": _set("adam", "t", -1),
+    "float-buffer-count": _set("buffer", "count", 5.0),
+    "huge-float-buffer-dim": _set("buffer", "dim", 1e300),
+    "huge-float-buffer-capacity": _set("buffer", "capacity", 1e300),
+    "int-buffer-labeled": _set("buffer", "labeled", 0),
+    "buffer-dim-mismatch": _set("buffer", "dim", 3),
+    "buffer-count-over-capacity": _set("buffer", "capacity", 4),
+    "buffer-too-large-to-allocate": _set("buffer", "capacity", 10 ** 30),
 }
+
+
+def save_stateful_checkpoint(path):
+    """A 2-4-1 spectral model with Adam state (t=3) and a replay buffer of
+    capacity 8 holding 5 rows: every manifest section is present."""
+    from ebmkit.checkpoint import save_checkpoint
+    from ebmkit.model import EnergyNet, ModelConfig
+    from ebmkit.sampler import ReplayBuffer
+    from ebmkit.trainer import AdamState
+
+    rng = np.random.default_rng(0)
+    net = EnergyNet.init(ModelConfig(widths=(2, 4, 1)), rng)
+    adam = AdamState.for_parameters(net.parameters())
+    adam.t = 3
+    buffer = ReplayBuffer(capacity=8)
+    buffer.insert(rng.uniform(size=(5, 2)))
+    save_checkpoint(path, net, adam=adam, buffer=buffer)
+
+
+# ---------------------------------------------------------------------------
+# earlier kernel forms, kept as bit-exact oracles
+
+def masked_sigmoid(x):
+    """1 / (1 + exp(-x)) built with boolean masks, one branch per sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _two_sigmoid_act(z, kind, slope):
+    if kind == "swish":
+        return z * masked_sigmoid(z)
+    return np.where(z > 0, z, slope * z)
+
+
+def _two_sigmoid_act_deriv(z, kind, slope):
+    if kind == "swish":
+        s = masked_sigmoid(z)
+        return s + z * s * (1.0 - s)
+    return np.where(z > 0, 1.0, slope)
+
+
+def two_sigmoid_grad_x(net, x, labels=None, slope=0.2):
+    """d energy / d x of an EnergyNet by the pre-activation route: the
+    forward pass keeps each pre-activation, and the backward pass takes
+    the sigmoid a second time for the activation derivative."""
+    w_effs = []
+    for layer in net.layers:
+        w = layer.w
+        if net.config.spectral_norm and layer.u is not None:
+            w = w / np.linalg.norm(layer.w.T @ layer.u)
+        w_effs.append(w)
+    kind = net.config.activation
+    h, pre = x, []
+    for layer, w in zip(net.layers[:-1], w_effs):
+        z = h @ w + layer.b
+        pre.append(z)
+        h = _two_sigmoid_act(z, kind, slope)
+        if layer.gamma is not None:
+            h = h * layer.gamma[labels] + layer.beta[labels]
+    g = np.repeat(w_effs[-1].T, x.shape[0], axis=0)
+    for i in range(len(net.layers) - 2, -1, -1):
+        layer = net.layers[i]
+        if layer.gamma is not None:
+            g = g * layer.gamma[labels]
+        g = g * _two_sigmoid_act_deriv(pre[i], kind, slope)
+        g = g @ w_effs[i].T
+    return g
+
+
+def _recomputing_mala_sweep(net, base, beta, x, u, cfg, rng, drift):
+    """Each transition evaluates the rung gradient at x afresh."""
+    def rung_energy(v):
+        return (1.0 - beta) * base.energy(v) + beta * net.energy(v)
+
+    def rung_grad(v):
+        return (1.0 - beta) * base.grad(v) + beta * net.grad_x(v)
+
+    h = cfg.step_size
+    for _ in range(cfg.transitions):
+        mean_fwd = x + drift(rung_grad(x), h, cfg.drift_clip)
+        prop = mean_fwd + np.sqrt(h) * rng.normal(size=x.shape)
+        ok = base.in_support(prop)
+        u_prop = np.where(ok, rung_energy(prop), np.inf)
+        g_prop = rung_grad(np.where(ok[:, None], prop, x))
+        mean_bwd = prop + drift(g_prop, h, cfg.drift_clip)
+        log_q_fwd = -np.sum((prop - mean_fwd) ** 2, axis=1) / (2.0 * h)
+        log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h)
+        with np.errstate(invalid="ignore"):
+            log_accept = (u - u_prop) + (log_q_bwd - log_q_fwd)
+        accept = np.log(rng.uniform(size=x.shape[0])) < log_accept
+        x = np.where(accept[:, None], prop, x)
+        u = np.where(accept, u_prop, u)
+    return x
+
+
+def recomputing_logZ(net, cfg, rng, samples=None):
+    """The AIS estimate (samples None) or the RAISE estimate (samples
+    given) with a MALA sweep that recomputes the gradient at the current
+    state on every transition and the net energy after every rung. The
+    base distribution and the drift cap come from ebmkit.metrics; only
+    the bookkeeping differs from the library's estimators."""
+    from ebmkit.metrics import _Base, _tamed_drift
+
+    base = _Base(cfg.base, net.config.input_dim)
+    betas = cfg.ladder()
+    if samples is None:
+        x, order = base.sample(cfg.chains, rng), range(1, len(betas))
+    else:
+        x = samples[rng.integers(0, samples.shape[0], size=cfg.chains)]
+        order = range(len(betas) - 2, -1, -1)
+    logw = np.zeros(cfg.chains)
+    for t in order:
+        e_base, e_target = base.energy(x), net.energy(x)
+        if samples is None:
+            logw += (betas[t] - betas[t - 1]) * (e_base - e_target)
+        else:
+            logw += (betas[t + 1] - betas[t]) * (e_target - e_base)
+        u = (1.0 - betas[t]) * e_base + betas[t] * e_target
+        x = _recomputing_mala_sweep(net, base, betas[t], x, u, cfg, rng,
+                                    _tamed_drift)
+    m = np.max(logw)
+    log_mean_w = float(m + np.log(np.mean(np.exp(logw - m))))
+    if samples is None:
+        return base.log_partition + log_mean_w
+    return base.log_partition - log_mean_w
+
+
+class CallCounter:
+    """Wraps an energy model and counts its energy and grad_x calls."""
+
+    def __init__(self, net):
+        self.net = net
+        self.config = net.config
+        self.calls = {"energy": 0, "grad_x": 0}
+
+    def energy(self, x, labels=None):
+        self.calls["energy"] += 1
+        return self.net.energy(x, labels)
+
+    def grad_x(self, x, labels=None):
+        self.calls["grad_x"] += 1
+        return self.net.grad_x(x, labels)

@@ -4,7 +4,7 @@ import pytest
 from ebmkit import autodiff as ad
 from ebmkit.errors import ContractError, DimensionError, TapeLookupError
 
-from helpers import central_diff, relative_error
+from helpers import central_diff, masked_sigmoid, relative_error
 
 
 def scalar_leaf(tape, v):
@@ -479,3 +479,43 @@ class TestAlgebraicInvariants:
             w = tape.leaf(np.ones((2, 2)), param=True)
             tape.leaf(np.ones(2))
         assert tape.parameter_ids == [w.node]
+
+
+class TestStableSigmoidOracle:
+    """stable_sigmoid against the masked two-branch form, byte for byte."""
+
+    TINY = np.finfo(np.float64).smallest_subnormal
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0],
+        [745.0, -745.0, 746.0, -746.0, 709.8, -709.8],
+        [np.inf, -np.inf],
+        [TINY, -TINY, 1e-310, -1e-310, 2.2e-308, -2.2e-308],
+        [1.0, -1.0, 36.7, -36.7, 1e-17, -1e-17],
+    ])
+    def test_special_values(self, values):
+        x = np.array(values)
+        assert ad.stable_sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+    def test_random_blocks(self, scale):
+        x = np.random.default_rng(int(scale)).normal(scale=scale, size=(128, 64))
+        assert ad.stable_sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 3.5, -3.5, -800.0])
+    def test_zero_dimensional(self, value):
+        x = np.asarray(value)
+        out = ad.stable_sigmoid(x)
+        assert out.shape == ()
+        assert out.tobytes() == masked_sigmoid(x).tobytes()
+
+    def test_nan_stays_nan(self):
+        x = np.array([np.nan, -np.nan, 1.0])
+        out = ad.stable_sigmoid(x)
+        assert np.isnan(out[:2]).all()
+        assert out[2] == masked_sigmoid(x)[2]
+
+    def test_input_untouched(self):
+        x = np.array([-2.0, 0.0, 2.0])
+        ad.stable_sigmoid(x)
+        assert x.tolist() == [-2.0, 0.0, 2.0]

@@ -1,19 +1,26 @@
 """Tests for binary checkpoint serialization."""
 
+import dataclasses
+import functools
+import json
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ebmkit.checkpoint import (FORMAT_VERSION, MAGIC, load_checkpoint,
-                               save_checkpoint, write_atomic)
+from ebmkit.checkpoint import (FORMAT_VERSION, MAGIC, CheckpointBundle,
+                               load_checkpoint, save_checkpoint, write_atomic)
 from ebmkit.errors import ContractError
-from ebmkit.model import EnergyNet, ModelConfig
+from ebmkit.model import ACTIVATIONS, EnergyNet, ModelConfig
 from ebmkit.sampler import ReplayBuffer
 from ebmkit.trainer import AdamState, TrainConfig
 
-from helpers import MALFORMED_MANIFESTS, with_manifest
+from helpers import MALFORMED_MANIFESTS, save_stateful_checkpoint, with_manifest
 
 
 def _net(seed, widths=(3, 8, 8, 1), num_classes=0, spectral_norm=True):
@@ -169,7 +176,8 @@ def test_rejects_malformed_files(tmp_path):
 @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
 def test_malformed_manifest_is_a_contract_error(tmp_path, case):
     path = tmp_path / "ok.ebm"
-    save_checkpoint(path, _net(11))
+    save_stateful_checkpoint(path)
+    load_checkpoint(path)
     bad = tmp_path / "bad.ebm"
     bad.write_bytes(with_manifest(path.read_bytes(), MALFORMED_MANIFESTS[case]))
     with pytest.raises(ContractError, match="malformed checkpoint manifest"):
@@ -183,3 +191,137 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_atomic(target, b"replaced")
     assert target.read_bytes() == b"replaced"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+# -- property tests ---------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.text(max_size=4) | st.lists(st.integers(-1, 6), max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5)
+
+MANIFEST_FIELDS = (
+    [(section, None) for section in ("model", "adam", "buffer")]
+    + [("model", f.name) for f in dataclasses.fields(ModelConfig)]
+    + [("adam", "t")]
+    + [("buffer", key) for key in ("count", "dim", "labeled", "capacity",
+                                   "uniform_prob")])
+
+
+@functools.cache
+def _stateful_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        save_stateful_checkpoint(Path(tmp) / "s.ebm")
+        return (Path(tmp) / "s.ebm").read_bytes()
+
+
+def _loads_or_contract_error(data):
+    """load_checkpoint on data written to a file: a bundle, or None when
+    it raises ContractError; any other exception propagates."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.ebm"
+        path.write_bytes(data)
+        try:
+            bundle = load_checkpoint(path)
+        except ContractError:
+            return None
+    assert isinstance(bundle, CheckpointBundle)
+    return bundle
+
+
+def test_manifest_fields_cover_the_saved_manifest():
+    raw = _stateful_bytes()
+    manifest = json.loads(raw[12:12 + struct.unpack("<I", raw[8:12])[0]])
+    for section in ("model", "adam", "buffer"):
+        assert ({key for sec, key in MANIFEST_FIELDS if sec == section}
+                == {None, *manifest[section]})
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(field=st.sampled_from(MANIFEST_FIELDS), delete=st.booleans(),
+       value=JSON_VALUES)
+def test_fuzzed_manifest_field_loads_or_is_a_contract_error(field, delete,
+                                                            value):
+    """Any one manifest field replaced by any JSON value, or deleted,
+    gives a valid bundle or a ContractError, never another exception."""
+    section, key = field
+
+    def edit(m):
+        target, name = (m, section) if key is None else (m[section], key)
+        if delete:
+            del target[name]
+        else:
+            target[name] = value
+        return m
+
+    _loads_or_contract_error(with_manifest(_stateful_bytes(), edit))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.integers(0, 255)), min_size=1, max_size=4),
+       keep=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_fuzzed_bytes_load_or_are_a_contract_error(edits, keep):
+    """Overwritten bytes anywhere in the file (positions as fractions of
+    its length), optionally followed by a truncation, give a valid bundle
+    or a ContractError."""
+    raw = bytearray(_stateful_bytes())
+    for where, byte in edits:
+        raw[int(where * len(raw))] = byte
+    cut = None if keep is None else int(keep * len(raw))
+    _loads_or_contract_error(bytes(raw[:cut]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(hidden=st.lists(st.integers(1, 5), max_size=3),
+       input_dim=st.integers(1, 4),
+       activation=st.sampled_from(ACTIVATIONS),
+       num_classes=st.sampled_from((0, 2)), spectral=st.booleans(),
+       power_iters=st.integers(1, 3), with_adam=st.booleans(),
+       capacity=st.one_of(st.none(), st.integers(1, 6)),
+       rows=st.lists(st.integers(0, 5), max_size=3),
+       uniform_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
+# an empty buffer that has seen an empty batch keeps its dimension and
+# labeling; one that has seen none records dimension 0
+@example(hidden=[3], input_dim=2, activation="swish", num_classes=2,
+         spectral=True, power_iters=1, with_adam=False, capacity=1, rows=[0],
+         uniform_prob=0.5, seed=0)
+@example(hidden=[3], input_dim=2, activation="swish", num_classes=0,
+         spectral=False, power_iters=1, with_adam=True, capacity=3, rows=[0],
+         uniform_prob=0.5, seed=0)
+@example(hidden=[3], input_dim=2, activation="swish", num_classes=2,
+         spectral=False, power_iters=1, with_adam=False, capacity=3, rows=[],
+         uniform_prob=0.5, seed=0)
+def test_save_load_save_is_byte_identical_for_random_states(
+        hidden, input_dim, activation, num_classes, spectral, power_iters,
+        with_adam, capacity, rows, uniform_prob, seed):
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(widths=(input_dim, *hidden, 1), activation=activation,
+                      num_classes=num_classes, spectral_norm=spectral,
+                      power_iters=power_iters)
+    net = EnergyNet.init(cfg, rng)
+    adam = None
+    if with_adam:
+        adam = AdamState.for_parameters(net.parameters())
+        for name in adam.m:
+            adam.m[name] = rng.normal(size=adam.m[name].shape)
+            adam.v[name] = rng.uniform(size=adam.v[name].shape)
+        adam.t = int(rng.integers(0, 1000))
+    buffer = None
+    if capacity is not None:
+        buffer = ReplayBuffer(capacity=capacity, uniform_prob=uniform_prob)
+        for n in rows:
+            buffer.insert(rng.uniform(size=(n, input_dim)),
+                          rng.integers(0, num_classes, size=n)
+                          if num_classes else None)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ebm", Path(tmp) / "b.ebm"
+        save_checkpoint(first, net, seed=seed, step_count=seed % 7,
+                        adam=adam, buffer=buffer)
+        bundle = load_checkpoint(first)
+        save_checkpoint(second, bundle.net, seed=bundle.manifest["seed"],
+                        step_count=bundle.manifest["step_count"],
+                        adam=bundle.adam, buffer=bundle.buffer)
+        assert first.read_bytes() == second.read_bytes()

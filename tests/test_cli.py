@@ -18,11 +18,10 @@ import numpy as np
 import pytest
 
 import ebmkit
-from ebmkit.checkpoint import load_checkpoint, save_checkpoint
+from ebmkit.checkpoint import load_checkpoint
 from ebmkit.cli import main
-from ebmkit.model import EnergyNet, ModelConfig
 
-from helpers import MALFORMED_MANIFESTS, with_manifest
+from helpers import MALFORMED_MANIFESTS, save_stateful_checkpoint, with_manifest
 
 ONED_YAML = textwrap.dedent("""\
     model:
@@ -441,8 +440,7 @@ def test_missing_checkpoint_reports_io_error(workdir, capsys):
 @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
 def test_malformed_manifest_reports_contract_error(workdir, capsys, case):
     good = workdir / "manifest-ok.ebm"
-    save_checkpoint(good, EnergyNet.init(ModelConfig(widths=(2, 4, 1)),
-                                         np.random.default_rng(0)))
+    save_stateful_checkpoint(good)
     bad = workdir / f"manifest-{case}.ebm"
     bad.write_bytes(with_manifest(good.read_bytes(), MALFORMED_MANIFESTS[case]))
     code = main(["sample", "--checkpoint", str(bad),

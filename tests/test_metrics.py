@@ -12,7 +12,8 @@ from ebmkit.model import EnergyNet, ModelConfig
 from ebmkit.sampler import LangevinConfig, ReplayBuffer
 from ebmkit.trainer import AdamState, TrainConfig, train_step
 
-from helpers import QuadraticEnergy, energy_config, ks_oracle
+from helpers import (CallCounter, QuadraticEnergy, energy_config, ks_oracle,
+                     recomputing_logZ)
 
 
 class FlatEnergy:
@@ -232,6 +233,42 @@ def test_ais_standard_error_scales_with_chains():
         ses[chains] = float(np.mean(vals))
     ratio = ses[128] / ses[256]
     assert 1.15 < ratio < 1.75  # expect ~sqrt(2)
+
+
+def _spectral_net():
+    net = EnergyNet.init(ModelConfig(widths=(2, 16, 16, 1)),
+                         np.random.default_rng(40))
+    net.layers[-1].w *= 4.0   # a target worth annealing towards
+    return net
+
+
+@pytest.mark.parametrize("base", ["uniform", "gaussian"])
+def test_estimates_match_recomputing_sweep_bit_for_bit(base):
+    """Carrying energies and gradients through the MALA sweep changes
+    the call count, not a single bit of either estimate."""
+    net = _spectral_net()
+    cfg = AISConfig(chains=48, temps=12, transitions=2, base=base,
+                    step_size=0.02)
+    samples = np.random.default_rng(41).uniform(size=(32, 2))
+    lower, _ = ais_logZ(net, cfg, np.random.default_rng(42))
+    assert lower == recomputing_logZ(net, cfg, np.random.default_rng(42))
+    upper = raise_logZ(net, cfg, np.random.default_rng(43), samples)
+    assert upper == recomputing_logZ(net, cfg, np.random.default_rng(43),
+                                     samples)
+
+
+@pytest.mark.parametrize("temps,transitions", [(12, 2), (5, 1), (4, 0), (1, 3)])
+def test_estimators_call_energy_and_grad_once_per_transition(temps, transitions):
+    cfg = AISConfig(chains=8, temps=temps, transitions=transitions)
+    expected = {"energy": 1 + (temps - 1) * transitions,
+                "grad_x": 1 + (temps - 1) * transitions}
+    counted = CallCounter(_spectral_net())
+    ais_logZ(counted, cfg, np.random.default_rng(0))
+    assert counted.calls == expected
+    counted = CallCounter(_spectral_net())
+    raise_logZ(counted, cfg, np.random.default_rng(0),
+               np.random.default_rng(1).uniform(size=(8, 2)))
+    assert counted.calls == expected
 
 
 def test_raise_rejects_empty_samples():

@@ -9,7 +9,8 @@ from ebmkit.errors import ConfigError, DimensionError, LabelError
 from ebmkit.model import (ACTIVATIONS, EnergyNet, Layer, ModelConfig,
                           activation_slope_bound)
 
-from helpers import QuadraticEnergy, central_diff, relative_error
+from helpers import (QuadraticEnergy, central_diff, relative_error,
+                     two_sigmoid_grad_x)
 
 
 def small_net(widths=(3, 8, 1), activation="swish", num_classes=0,
@@ -106,6 +107,23 @@ class TestGradX:
 
         fd = central_diff(total, x.reshape(-1)).reshape(4, 3)
         assert relative_error(g, fd) < 1e-4
+
+    @pytest.mark.parametrize("activation", ["swish", "leaky_relu"])
+    @pytest.mark.parametrize("num_classes", [0, 3])
+    @pytest.mark.parametrize("spectral", [True, False])
+    def test_matches_two_sigmoid_reference_bytes(self, activation, num_classes,
+                                                 spectral):
+        net = small_net(widths=(3, 16, 16, 1), activation=activation,
+                        num_classes=num_classes, spectral=spectral, seed=21)
+        rng = np.random.default_rng(22)
+        for layer in net.layers[:-1]:
+            if layer.gamma is not None:
+                layer.gamma = rng.normal(size=layer.gamma.shape)
+                layer.beta = rng.normal(size=layer.beta.shape)
+        x = rng.normal(scale=4.0, size=(64, 3))
+        labels = rng.integers(0, 3, size=64) if num_classes else None
+        assert (net.grad_x(x, labels).tobytes()
+                == two_sigmoid_grad_x(net, x, labels).tobytes())
 
     def test_batch_rows_are_independent(self):
         net = small_net(seed=2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebmkit.errors import (ChainDivergedError, ConfigError, DimensionError,
                            LabelError)
@@ -216,6 +218,43 @@ class TestReplayBuffer:
         s2, l2 = other.snapshot()
         np.testing.assert_array_equal(samples, s2)
         np.testing.assert_array_equal(labels, l2)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(capacity=st.integers(1, 6), dim=st.integers(1, 3),
+       labeled=st.booleans(),
+       batches=st.lists(st.integers(0, 8), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 16))
+def test_ring_invariants(capacity, dim, labeled, batches, seed):
+    """After any sequence of inserts the buffer holds exactly the newest
+    min(capacity, inserted) rows, oldest first, each with its own label,
+    and draws only return held rows with their labels."""
+    buf = ReplayBuffer(capacity=capacity)
+    rng = np.random.default_rng(seed)
+    rows, labels = [], []
+    for n in batches:
+        start = len(rows)
+        batch = np.arange(start, start + n, dtype=np.float64)[:, None] \
+            + np.zeros((1, dim))
+        batch_labels = (np.arange(start, start + n) % 5) if labeled else None
+        buf.insert(batch, batch_labels)
+        rows.extend(batch.tolist())
+        labels.extend([] if batch_labels is None else batch_labels.tolist())
+        held = min(capacity, len(rows))
+        assert len(buf) == held
+        samples, got_labels = buf.snapshot()
+        assert samples.tolist() == rows[len(rows) - held:]
+        if labeled:
+            assert got_labels.tolist() == labels[len(labels) - held:]
+        else:
+            assert got_labels is None
+        if held:
+            drawn, drawn_labels = buf.draw(7, rng)
+            ids = drawn[:, 0].astype(int)
+            assert all(len(rows) - held <= i < len(rows) for i in ids)
+            assert (drawn == drawn[:, :1]).all()
+            if labeled:
+                assert drawn_labels.tolist() == (ids % 5).tolist()
 
 
 class TestInitBatch:
