@@ -122,24 +122,6 @@ class Tensor:
         tracked = f", node={self.node}" if self.node is not None else ""
         return f"Tensor(shape={self.data.shape}{tracked})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_array(value):
     if isinstance(value, np.ndarray):
@@ -200,15 +182,12 @@ _FORWARD = {
     "add": lambda p, _: p[0] + p[1],
     "sub": lambda p, _: p[0] - p[1],
     "mul": lambda p, _: p[0] * p[1],
-    "div": lambda p, _: p[0] / p[1],
     "neg": lambda p, _: -p[0],
     "scale": lambda p, a: p[0] * a["c"],
     "add_row": lambda p, _: p[0] + p[1],
     "mul_scalar": lambda p, _: p[0] * p[1],
     "reciprocal": lambda p, _: 1.0 / p[0],
     "sigmoid": lambda p, _: stable_sigmoid(p[0]),
-    "exp": lambda p, _: np.exp(p[0]),
-    "log": lambda p, _: np.log(p[0]),
     "leaky_relu": lambda p, a: np.where(p[0] > 0, p[0], a["slope"] * p[0]),
     "clip": lambda p, a: np.clip(p[0], a["lo"], a["hi"]),
     "sum_all": lambda p, _: np.asarray(p[0].sum()),
@@ -217,7 +196,6 @@ _FORWARD = {
     "bcast": lambda p, a: np.broadcast_to(p[0], a["shape"]).copy(),
     "bcast0": lambda p, a: np.broadcast_to(p[0], (a["rows"],) + p[0].shape).copy(),
     "bcast1": lambda p, a: np.broadcast_to(p[0], (p[0].shape[0], a["cols"])).copy(),
-    "logsumexp1": lambda p, _: _logsumexp1(p[0]),
     "take_rows": lambda p, a: p[0][a["indices"]],
     "scatter_rows": lambda p, a: _scatter_rows(p[0], a["indices"], a["rows"]),
     "reshape": lambda p, a: p[0].reshape(a["shape"]),
@@ -235,11 +213,6 @@ def stable_sigmoid(x):
     e += 1.0
     out /= e
     return out
-
-
-def _logsumexp1(x):
-    m = x.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
 
 
 def _scatter_rows(g, indices, rows):
@@ -286,11 +259,6 @@ def mul(a, b):
     return _apply("mul", (a, b))
 
 
-def div(a, b):
-    _check_same_shape("div", a, b)
-    return _apply("div", (a, b))
-
-
 def neg(a):
     return _apply("neg", (a,))
 
@@ -320,14 +288,6 @@ def reciprocal(a):
 
 def sigmoid(a):
     return _apply("sigmoid", (a,))
-
-
-def exp(a):
-    return _apply("exp", (a,))
-
-
-def log(a):
-    return _apply("log", (a,))
 
 
 def leaky_relu(a, slope=0.2):
@@ -383,10 +343,6 @@ def bcast1(a, cols):
     return _apply("bcast1", (a,), {"cols": int(cols)})
 
 
-def logsumexp1(a):
-    return _apply("logsumexp1", (a,))
-
-
 def take_rows(a, indices):
     av = a.data if isinstance(a, Tensor) else _as_array(a)
     indices = np.asarray(indices, dtype=np.intp)
@@ -435,27 +391,18 @@ def _vjp_sigmoid(g, parents, out, attrs):
     return (mul(g, mul(out, sub(ones, out))),)
 
 
-def _vjp_logsumexp1(g, parents, out, attrs):
-    (a,) = parents
-    soft = exp(sub(a, bcast1(out, a.data.shape[1])))
-    return (mul(bcast1(g, a.data.shape[1]), soft),)
-
-
 _VJP = {
     "matmul": _vjp_matmul,
     "transpose": lambda g, p, o, a: (transpose(g),),
     "add": lambda g, p, o, a: (g, g),
     "sub": lambda g, p, o, a: (g, neg(g)),
     "mul": lambda g, p, o, a: (mul(g, p[1]), mul(g, p[0])),
-    "div": lambda g, p, o, a: (div(g, p[1]), neg(div(mul(g, o), p[1]))),
     "neg": lambda g, p, o, a: (neg(g),),
     "scale": lambda g, p, o, a: (scale(g, a["c"]),),
     "add_row": lambda g, p, o, a: (g, sum0(g)),
     "mul_scalar": lambda g, p, o, a: (mul_scalar(g, p[1]), sum_all(mul(g, p[0]))),
     "reciprocal": lambda g, p, o, a: (neg(mul(g, mul(o, o))),),
     "sigmoid": _vjp_sigmoid,
-    "exp": lambda g, p, o, a: (mul(g, o),),
-    "log": lambda g, p, o, a: (div(g, p[0]),),
     "leaky_relu": _vjp_leaky,
     "clip": _vjp_clip,
     "sum_all": lambda g, p, o, a: (bcast(g, p[0].data.shape),),
@@ -464,7 +411,6 @@ _VJP = {
     "bcast": lambda g, p, o, a: (reshape(sum_all(g), p[0].data.shape),),
     "bcast0": lambda g, p, o, a: (sum0(g),),
     "bcast1": lambda g, p, o, a: (sum1(g),),
-    "logsumexp1": _vjp_logsumexp1,
     "take_rows": lambda g, p, o, a: (
         scatter_rows(g, a["indices"], p[0].data.shape[0]),
     ),

@@ -14,6 +14,7 @@ stderr. Set EBMKIT_LOG=INFO or DEBUG for progress logging.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import logging
 import math
@@ -27,7 +28,7 @@ from .checkpoint import (load_checkpoint, save_checkpoint, write_text_atomic)
 from .compose import finetune_combination, joint_sample
 from .datagen import (gaussian_mixture, mini_sprites, ring2d, split_tasks,
                       trajectory_sim)
-from .errors import ConfigError, ContractError, EbmError, LabelError
+from .errors import ConfigError, ContractError, EbmError
 from .metrics import (AISConfig, ais_logZ, auroc, class_energies,
                       energy_classify, frechet_gaussian, ks_statistic,
                       log_partition_quadrature, metric_csv_row,
@@ -126,12 +127,25 @@ DATASET_DEFAULTS = {
 # ---------------------------------------------------------------------------
 # configuration
 
+@contextlib.contextmanager
+def _values_of(section):
+    """Report a config value of the wrong type, or text that does not
+    parse, as a ConfigError naming its section. Serves as a context
+    manager or as a decorator of the function that converts a section."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in {section}: {exc}") from None
+
+
 def _merge(defaults, given, path):
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path} must be a mapping, got {given!r}")
     out = dict(defaults)
     for key, value in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {path}.{key}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
+        if isinstance(defaults[key], dict):
             out[key] = _merge(defaults[key], value, f"{path}.{key}")
         else:
             out[key] = value
@@ -142,7 +156,7 @@ def _dataset_spec(given):
     if not isinstance(given, dict) or "kind" not in given:
         raise ConfigError("dataset section needs a 'kind' key")
     kind = given["kind"]
-    if kind not in DATASET_DEFAULTS:
+    if not isinstance(kind, str) or kind not in DATASET_DEFAULTS:
         raise ConfigError(
             f"unknown dataset kind {kind!r}; choose from "
             f"{sorted(DATASET_DEFAULTS)}")
@@ -173,6 +187,7 @@ def load_run_config(path, require=()):
     return out
 
 
+@_values_of("model")
 def _model_config(sec):
     return ModelConfig(widths=tuple(int(w) for w in sec["widths"]),
                        activation=str(sec["activation"]),
@@ -181,10 +196,12 @@ def _model_config(sec):
                        power_iters=int(sec["power_iters"]))
 
 
+@_values_of("langevin")
 def _langevin_config(sec):
     clamp = sec["clamp"]
     if clamp is not None:
-        clamp = (float(clamp[0]), float(clamp[1]))
+        lo, hi = clamp
+        clamp = (float(lo), float(hi))
     return LangevinConfig(steps=int(sec["steps"]),
                           step_size=float(sec["step_size"]),
                           noise=float(sec["noise"]),
@@ -192,6 +209,7 @@ def _langevin_config(sec):
                           clamp=clamp)
 
 
+@_values_of("train")
 def _train_config(sec, langevin):
     return TrainConfig(alpha=float(sec["alpha"]), lr=float(sec["lr"]),
                        beta1=float(sec["beta1"]), beta2=float(sec["beta2"]),
@@ -200,6 +218,12 @@ def _train_config(sec, langevin):
                        clip_sigmas=float(sec["clip_sigmas"]),
                        total_steps=int(sec["total_steps"]),
                        langevin=langevin)
+
+
+@_values_of("train")
+def _replay_buffer(sec):
+    return ReplayBuffer(capacity=int(sec["buffer_capacity"]),
+                        uniform_prob=float(sec["uniform_prob"]))
 
 
 def _rngs(seed):
@@ -219,6 +243,7 @@ def _sprite_labels(latents, field):
     return np.searchsorted(classes, values)
 
 
+@_values_of("dataset")
 def _build_dataset(spec, rng):
     """Materialize a dataset spec; returns a dict with train/test splits
     plus kind-specific extras."""
@@ -271,13 +296,22 @@ def _build_dataset(spec, rng):
 
 
 def _dataset_from_manifest(manifest):
+    """Rebuild the training data from the seed and the fully-defaulted
+    dataset spec that cmd_train recorded in the checkpoint manifest."""
     spec = manifest.get("dataset")
     seed = manifest.get("seed")
     if spec is None or seed is None:
         raise ConfigError(
             "checkpoint records no dataset provenance; re-train via cmd_train")
-    data_rng, _, _ = _rngs(int(seed))
-    return _build_dataset(spec, data_rng), spec
+    try:
+        if type(seed) is not int or seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+        if set(_dataset_spec(spec)) != set(spec):
+            raise ConfigError("dataset spec lacks some keys of its kind")
+        data_rng, _, _ = _rngs(seed)
+        return _build_dataset(spec, data_rng), spec
+    except EbmError as exc:
+        raise ContractError(f"malformed checkpoint manifest: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +371,7 @@ def cmd_train(args):
     use_labels = model_cfg.num_classes > 0
 
     net = EnergyNet.init(model_cfg, init_rng)
-    buffer = ReplayBuffer(capacity=int(cfg["train"]["buffer_capacity"]),
-                          uniform_prob=float(cfg["train"]["uniform_prob"]))
+    buffer = _replay_buffer(cfg["train"])
     state = AdamState.for_parameters(net.parameters())
     rows = []
     for step in range(train_cfg.total_steps):
@@ -381,7 +414,7 @@ def cmd_sample(args):
     if args.label is not None:
         labels = np.full(init.shape[0], args.label, dtype=np.intp)
     cfg = _flag_langevin(args)
-    x, _ = run_chain(init, net, cfg, rng, labels=labels, trace=False)
+    x = run_chain(init, net, cfg, rng, labels=labels)
     _write_samples(args.out, x, args.format)
     return 0
 
@@ -408,7 +441,11 @@ def cmd_inpaint(args):
 def _parse_label(token):
     if token.lower() == "none":
         return None
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(
+            f"--labels takes integers or 'none', got {token!r}") from None
 
 
 def cmd_compose(args):
@@ -420,20 +457,21 @@ def cmd_compose(args):
     rng = np.random.default_rng(args.seed)
     if args.finetune_config:
         cfg = load_run_config(args.finetune_config)["finetune"]
-        combos = [tuple(c) for c in cfg["combos"]]
+        with _values_of("finetune"):
+            combos = [tuple(c) for c in cfg["combos"]]
+            chain = cfg["chain"]
+            lcfg = LangevinConfig(steps=int(chain["steps"]),
+                                  step_size=float(chain["step_size"]),
+                                  noise=float(chain["noise"]),
+                                  grad_clip=float(chain["grad_clip"]),
+                                  clamp=(0.0, 1.0))
+            tcfg = TrainConfig(lr=float(cfg["lr"]),
+                               batch_size=int(cfg["batch_size"]), langevin=lcfg)
+            epochs = int(cfg["epochs"])
         if not combos:
             raise ConfigError("finetune.combos must list at least one "
                               "label combination")
-        chain = cfg["chain"]
-        lcfg = LangevinConfig(steps=int(chain["steps"]),
-                              step_size=float(chain["step_size"]),
-                              noise=float(chain["noise"]),
-                              grad_clip=float(chain["grad_clip"]),
-                              clamp=(0.0, 1.0))
-        tcfg = TrainConfig(lr=float(cfg["lr"]),
-                           batch_size=int(cfg["batch_size"]), langevin=lcfg)
-        nets = finetune_combination(nets, combos, tcfg, rng,
-                                    epochs=int(cfg["epochs"]))
+        nets = finetune_combination(nets, combos, tcfg, rng, epochs=epochs)
     samples = joint_sample(list(zip(nets, labels)), _flag_langevin(args),
                            rng, n=args.n)
     _write_samples(args.out, samples, args.format)
@@ -577,10 +615,17 @@ def cmd_eval(args):
 def cmd_continual(args):
     cfg = load_run_config(args.config, require=("continual",))
     cont = cfg["continual"]
-    centers = np.asarray(cont["centers"], dtype=np.float64)
+    with _values_of("continual"):
+        centers = np.asarray(cont["centers"], dtype=np.float64)
+        sigma, n, n_test = (float(cont["sigma"]), int(cont["n"]),
+                            int(cont["n_test"]))
+        pairs = [tuple(int(c) for c in p) for p in cont["pairs"]]
+        steps_per_task = int(cont["steps_per_task"])
+    if centers.ndim != 2:
+        raise ConfigError("continual.centers must be a list of points")
     k = centers.shape[0]
     model_sec = dict(cfg["model"])
-    if int(model_sec["num_classes"]) == 0:
+    if model_sec["num_classes"] == 0:
         model_sec["num_classes"] = k
     model_cfg = _model_config(model_sec)
     if model_cfg.num_classes != k:
@@ -591,22 +636,17 @@ def cmd_continual(args):
         raise ConfigError("model input width does not match center dimension")
     train_cfg = _train_config(cfg["train"], _langevin_config(cfg["langevin"]))
     data_rng, init_rng, work_rng = _rngs(args.seed)
-    x, y = gaussian_mixture(centers, float(cont["sigma"]), int(cont["n"]),
-                            data_rng)
-    x_test, y_test = gaussian_mixture(centers, float(cont["sigma"]),
-                                      int(cont["n_test"]), data_rng)
-    pairs = [tuple(int(c) for c in p) for p in cont["pairs"]]
+    x, y = gaussian_mixture(centers, sigma, n, data_rng)
+    x_test, y_test = gaussian_mixture(centers, sigma, n_test, data_rng)
     tasks = split_tasks(x, y, pairs)
 
     net = EnergyNet.init(model_cfg, init_rng)
-    steps_per_task = int(cont["steps_per_task"])
     rows = []
     seen = []
     for task_id, x_task, y_task in tasks:
         # fresh buffer and optimizer per task: the model alone carries
         # knowledge across tasks
-        buffer = ReplayBuffer(capacity=int(cfg["train"]["buffer_capacity"]),
-                              uniform_prob=float(cfg["train"]["uniform_prob"]))
+        buffer = _replay_buffer(cfg["train"])
         state = AdamState.for_parameters(net.parameters())
         for _ in range(steps_per_task):
             idx = work_rng.integers(0, x_task.shape[0],
@@ -640,7 +680,11 @@ def cmd_attack(args):
     x_test, y_test = x_test[:n], y_test[:n]
     rng = np.random.default_rng(args.seed)
 
-    eps_values = [float(tok) for tok in args.eps.split(",") if tok]
+    try:
+        eps_values = [float(tok) for tok in args.eps.split(",") if tok]
+    except ValueError:
+        raise ConfigError(f"--eps takes comma-separated numbers, "
+                          f"got {args.eps!r}") from None
     header = "eps,accuracy" + (",accuracy_refined" if args.refine else "")
     rows = []
     clean = float(np.mean(energy_classify(net, x_test) == y_test))
@@ -778,10 +822,21 @@ def _setup_logging():
                         format="%(levelname)s %(message)s")
 
 
+def _check_flags(args):
+    """argparse checks only that these flags are integers."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    for flag in ("n", "horizon"):
+        value = vars(args).get(flag)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+
+
 def main(argv=None):
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except EbmError as exc:
         print(f"error {exc.category}: {' '.join(str(exc).split())}",

@@ -3,9 +3,8 @@
 A product of component densities is realized by summing their energies.
 Components enter as (net, label) pairs: the label (None for unconditional
 nets) is baked in, so the summed model is itself unconditional. Joint
-sampling runs Langevin dynamics on the sum, either with simultaneous
-summed-gradient steps (default) or one component per step in round-robin;
-the two agree in the small-step limit.
+sampling runs Langevin dynamics on the sum, each step following the
+summed gradient.
 
 Fine-tuning treats the frozen sum as the target landscape and adjusts
 trainable copies so that short sampling chains land in its low-energy
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError, LabelError
-from .sampler import langevin_step, run_chain
+from .sampler import run_chain
 from .trainer import AdamState, kl_finetune_step
 
 
@@ -115,33 +114,15 @@ class SummedEnergy:
         return total
 
 
-def sum_energy(models):
-    """Compose (net, label) pairs into a single summed energy model."""
-    return SummedEnergy(models)
-
-
-def joint_sample(models, cfg, rng, init=None, n=64, sequential=False):
+def joint_sample(models, cfg, rng, init=None, n=64):
     """Sample the product distribution by Langevin dynamics on the sum.
 
-    models may be a SummedEnergy or a list of (net, label) pairs. With
-    sequential=True each step follows one component's gradient in
-    round-robin instead of the summed gradient; cfg.steps counts single
-    steps in both modes.
+    models may be a SummedEnergy or a list of (net, label) pairs.
     """
-    summed = models if isinstance(models, SummedEnergy) else sum_energy(models)
+    summed = models if isinstance(models, SummedEnergy) else SummedEnergy(models)
     if init is None:
         init = rng.uniform(size=(n, summed.config.input_dim))
-    init = np.asarray(init, dtype=np.float64)
-    if not sequential:
-        samples, _ = run_chain(init, summed, cfg, rng, trace=False)
-        return samples
-    singles = [sum_energy([part]) for part in summed.parts]
-    x = init.copy()
-    center = init.copy() if cfg.eps_box is not None else None
-    for k in range(cfg.steps):
-        x = langevin_step(x, singles[k % len(singles)], cfg, rng,
-                          center=center, step_index=k)
-    return x
+    return run_chain(init, summed, cfg, rng)
 
 
 def finetune_combination(models, observed_labels, cfg, rng, epochs=1):
@@ -165,8 +146,8 @@ def finetune_combination(models, observed_labels, cfg, rng, epochs=1):
     state = None
     for _ in range(epochs):
         for combo in observed_labels:
-            tuned_view = sum_energy(list(zip(tuned, combo)))
-            target_view = sum_energy(list(zip(models, combo)))
+            tuned_view = SummedEnergy(list(zip(tuned, combo)))
+            target_view = SummedEnergy(list(zip(models, combo)))
             if state is None:
                 state = AdamState.for_parameters(tuned_view.parameters())
             kl_finetune_step(tuned_view, target_view, cfg, state, rng)

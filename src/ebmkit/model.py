@@ -1,17 +1,12 @@
-"""Fully-connected networks: one MLP core, two heads.
+"""Fully-connected energy network.
 
-MLP is the shared dense stack. Hidden layers are affine + activation,
-optionally followed by a per-class gain and bias (FiLM: h <- gamma_y * h +
-beta_y) when the model is conditional; the final layer is a plain affine
-map. The core owns the parameters, initialization, spectral
-normalization, a numpy pass through the hidden layers and one taped
-forward pass. Two thin subclasses sit on it:
-
-- EnergyNet (this module) ends in width 1 and maps each row of x to one
-  real energy, with a closed-form input gradient grad_x whose hidden pass
-  also yields each layer's activation derivative (one sigmoid per layer);
-- MLPHead (baselines) is an unconditional supervised head with an output
-  of any width.
+EnergyNet maps each row of x to one real energy. Hidden layers are affine
++ activation, optionally followed by a per-class gain and bias (FiLM:
+h <- gamma_y * h + beta_y) when the model is conditional; the final layer
+is a plain affine map of width 1. Besides the numpy energy it has a
+closed-form input gradient grad_x, whose hidden pass also yields each
+layer's activation derivative (one sigmoid per layer), and a taped energy
+for parameter gradients and differentiable chains.
 
 Spectral normalization divides each weight matrix by its estimated top
 singular value. The estimate comes from a stored left-vector u updated by
@@ -134,9 +129,9 @@ def _trainable(layer):
     return [(k, a) for k, a in vars(layer).items() if k != "u" and a is not None]
 
 
-class MLP:
-    """Dense stack with stored-u spectral normalization and optional
-    per-class FiLM; see the module docstring."""
+class EnergyNet:
+    """Scalar energy per batch row, optionally conditioned on a class
+    label per row; see the module docstring."""
 
     def __init__(self, config, layers):
         self.config = config
@@ -244,55 +239,10 @@ class MLP:
 
     # -- forward passes -------------------------------------------------------
 
-    def _check_x(self, x):
+    def _check_inputs(self, x, labels):
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise DimensionError(
                 f"expected inputs of shape (batch, {self.config.input_dim}), got {x.shape}")
-
-    def _hidden(self, x, labels, w_effs, derivs=None):
-        """numpy pass through the hidden layers with the given effective
-        weights; appends each activation derivative to derivs when a list
-        is given."""
-        h = x
-        for layer, w in zip(self.layers[:-1], w_effs):
-            h = _act(h @ w + layer.b, self.config.activation, derivs)
-            if layer.gamma is not None:
-                h = h * layer.gamma[labels] + layer.beta[labels]
-        return h
-
-    def _forward(self, x, labels=None):
-        """numpy outputs, shape (batch, widths[-1])."""
-        w_effs = [self._effective_weight(l) for l in self.layers]
-        return self._hidden(x, labels, w_effs) @ w_effs[-1] + self.layers[-1].b
-
-    def _taped_forward(self, x, labels=None, params=None):
-        """Outputs (batch, widths[-1]) built from recorded operations.
-
-        x is a Tensor (leaf or intermediate) or an array. When params is
-        None the current weights enter as constants so only x is
-        differentiated; pass the structure from lift_parameters() to
-        differentiate the parameters as well.
-        """
-        h = x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
-        for i, layer in enumerate(self.layers):
-            p = (params[i] if params is not None
-                 else {k: ad.constant(a) for k, a in _trainable(layer)})
-            w_eff = self._taped_effective_weight(layer, p["w"])
-            h = ad.add_row(ad.matmul(h, w_eff), p["b"])
-            if i < len(self.layers) - 1:
-                h = ad.activation(h, self.config.activation)
-                if layer.gamma is not None:
-                    h = ad.add(ad.mul(h, ad.take_rows(p["gamma"], labels)),
-                               ad.take_rows(p["beta"], labels))
-        return h
-
-
-class EnergyNet(MLP):
-    """Scalar energy per batch row, optionally conditioned on a class
-    label per row."""
-
-    def _check_inputs(self, x, labels):
-        self._check_x(x)
         if self.config.num_classes == 0:
             if labels is not None:
                 raise LabelError("model is unconditional but labels were given")
@@ -306,11 +256,23 @@ class EnergyNet(MLP):
             raise LabelError("label out of range")
         return labels
 
+    def _hidden(self, x, labels, w_effs, derivs=None):
+        """numpy pass through the hidden layers with the given effective
+        weights; appends each activation derivative to derivs when a list
+        is given."""
+        h = x
+        for layer, w in zip(self.layers[:-1], w_effs):
+            h = _act(h @ w + layer.b, self.config.activation, derivs)
+            if layer.gamma is not None:
+                h = h * layer.gamma[labels] + layer.beta[labels]
+        return h
+
     def energy(self, x, labels=None):
         """Energy per batch row, shape (batch,)."""
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
-        return self._forward(x, labels)[:, 0]
+        w_effs = [self._effective_weight(l) for l in self.layers]
+        return (self._hidden(x, labels, w_effs) @ w_effs[-1] + self.layers[-1].b)[:, 0]
 
     def grad_x(self, x, labels=None):
         """d energy[i] / d x[i], shape (batch, d). Rows are independent."""
@@ -329,8 +291,24 @@ class EnergyNet(MLP):
         return g
 
     def taped_energy(self, x, labels=None, params=None):
-        """Energy per row, shape (batch,), as a taped tensor; x and params
-        as for MLP._taped_forward."""
+        """Energy per row, shape (batch,), built from recorded operations.
+
+        x is a Tensor (leaf or intermediate) or an array. When params is
+        None the current weights enter as constants so only x is
+        differentiated; pass the structure from lift_parameters() to
+        differentiate the parameters as well.
+        """
         xv = x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(xv, labels)
-        return ad.reshape(self._taped_forward(x, labels, params), (xv.shape[0],))
+        h = x if isinstance(x, ad.Tensor) else ad.constant(xv)
+        for i, layer in enumerate(self.layers):
+            p = (params[i] if params is not None
+                 else {k: ad.constant(a) for k, a in _trainable(layer)})
+            w_eff = self._taped_effective_weight(layer, p["w"])
+            h = ad.add_row(ad.matmul(h, w_eff), p["b"])
+            if i < len(self.layers) - 1:
+                h = ad.activation(h, self.config.activation)
+                if layer.gamma is not None:
+                    h = ad.add(ad.mul(h, ad.take_rows(p["gamma"], labels)),
+                               ad.take_rows(p["beta"], labels))
+        return ad.reshape(h, (xv.shape[0],))

@@ -150,15 +150,6 @@ class ReplayBuffer:
         labels = self._labels[order].copy() if self._labels is not None else None
         return samples, labels
 
-    def load(self, samples, labels=None):
-        """Replace contents with the given oldest-first entries."""
-        self._data = None
-        self._labels = None
-        self._size = 0
-        self._next = 0
-        if len(samples):
-            self.insert(samples, labels)
-
 
 def init_batch(buffer, batch_size, d, rng):
     """Starting states for a batch of chains.
@@ -211,25 +202,14 @@ def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0):
     return new
 
 
-def run_chain(init, net, cfg, rng, labels=None, trace=True):
-    """Apply cfg.steps Langevin steps from init.
-
-    Returns (final state, energy trace). The trace holds the energy of
-    every visited state including the initial one, shape (steps+1, batch);
-    pass trace=False to skip those extra forward passes and get None.
-    """
+def run_chain(init, net, cfg, rng, labels=None):
+    """Apply cfg.steps Langevin steps from init; returns the final state."""
     x = np.array(init, dtype=np.float64, copy=True)
     center = x.copy() if cfg.eps_box is not None else None
-    energies = None
-    if trace:
-        energies = np.empty((cfg.steps + 1, x.shape[0]))
-        energies[0] = net.energy(x, labels)
     for k in range(cfg.steps):
         x = langevin_step(x, net, cfg, rng, labels=labels, center=center,
                           step_index=k)
-        if trace:
-            energies[k + 1] = net.energy(x, labels)
-    return x, energies
+    return x
 
 
 def inpaint(x_corrupt, mask, net, cfg, rng, labels=None):
@@ -243,14 +223,11 @@ def inpaint(x_corrupt, mask, net, cfg, rng, labels=None):
     if x.ndim != 2 or mask.shape != (x.shape[1],):
         raise DimensionError(
             f"mask shape {mask.shape} does not match inputs of shape {x.shape}")
-    cfg = replace(cfg, mask=mask)
-    restored, _ = run_chain(x, net, cfg, rng, labels=labels, trace=False)
-    return restored
+    return run_chain(x, net, replace(cfg, mask=mask), rng, labels=labels)
 
 
 def refine_bounded(x0, eps_box, net, cfg, rng, labels=None):
     """Sample while staying within an L-infinity ball of radius eps_box
     around x0. Returns the refined batch."""
-    cfg = replace(cfg, eps_box=float(eps_box))
-    refined, _ = run_chain(x0, net, cfg, rng, labels=labels, trace=False)
-    return refined
+    return run_chain(x0, net, replace(cfg, eps_box=float(eps_box)), rng,
+                     labels=labels)

@@ -145,8 +145,7 @@ def train_step(net, batch, buffer, cfg, state, rng, labels=None):
     t0 = time.perf_counter()
     batch = np.asarray(batch, dtype=np.float64)
     x_init, _ = init_batch(buffer, batch.shape[0], batch.shape[1], rng)
-    x_neg, _ = run_chain(x_init, net, cfg.langevin, rng, labels=labels,
-                         trace=False)
+    x_neg = run_chain(x_init, net, cfg.langevin, rng, labels=labels)
 
     with ad.Tape() as tape:
         params = net.lift_parameters(tape)

@@ -4,9 +4,10 @@ Everything here is deliberately independent of the package internals:
 finite differences and brute-force evaluation only, so tests compare the
 library against arithmetic a reviewer can redo by hand. Analytic energy
 models and malformed-checkpoint builders are shared here too, and so are
-the earlier, slower forms of two kernels (the masked sigmoid with a
-two-sigmoid input gradient, and the MALA sweep that recomputes energies
-and gradients), kept as bit-exact oracles for their replacements.
+the earlier forms of three kernels (the masked sigmoid with a two-sigmoid
+input gradient, the MALA sweep that recomputes energies and gradients,
+and the quadrature that scores its whole grid in one energy call), kept
+as bit-exact oracles for their replacements.
 """
 
 import json
@@ -364,6 +365,23 @@ def recomputing_logZ(net, cfg, rng, samples=None):
     if samples is None:
         return base.log_partition + log_mean_w
     return base.log_partition - log_mean_w
+
+
+def one_call_quadrature(net, lo, hi, resolution):
+    """log of the midpoint-rule integral of exp(-E) over [lo, hi]^d, with
+    every grid row scored by a single net.energy call."""
+    d = net.config.input_dim
+    n = max(1, int(round((hi - lo) / resolution)))
+    axis = lo + (hi - lo) / n * (np.arange(n) + 0.5)
+    log_cell = float(np.sum([np.log((hi - lo) / n)] * d))
+    if d == 1:
+        grid = axis[:, None]
+    else:
+        a, b = np.meshgrid(axis, axis, indexing="ij")
+        grid = np.stack([a.ravel(), b.ravel()], axis=1)
+    log_terms = -net.energy(grid)
+    m = log_terms.max()
+    return float(m + np.log(np.sum(np.exp(log_terms - m))) + log_cell)
 
 
 class CallCounter:

@@ -205,17 +205,6 @@ def _primitive_cases():
         return lambda x: float((x * c).sum()), rng.normal(size=(2, 3)), \
             lambda t: ad.mul(t, ad.constant(c))
 
-    def div_case(rng):
-        c = 1.0 + np.abs(rng.normal(size=(2, 3)))
-        return lambda x: float((x / c).sum()), rng.normal(size=(2, 3)), \
-            lambda t: ad.div(t, ad.constant(c))
-
-    def div_denominator_case(rng):
-        c = rng.normal(size=(2, 3))
-        x0 = 1.0 + np.abs(rng.normal(size=(2, 3)))
-        return lambda x: float((c / x).sum()), x0, \
-            lambda t: ad.div(ad.constant(c), t)
-
     def neg_case(rng):
         return lambda x: float((-x).sum()), rng.normal(size=(2, 3)), ad.neg
 
@@ -241,13 +230,6 @@ def _primitive_cases():
         return lambda x: float((1.0 / (1.0 + np.exp(-x))).sum()), \
             rng.normal(size=(2, 3)), ad.sigmoid
 
-    def exp_case(rng):
-        return lambda x: float(np.exp(x).sum()), rng.normal(size=(2, 3)), ad.exp
-
-    def log_case(rng):
-        x0 = 0.5 + np.abs(rng.normal(size=(2, 3)))
-        return lambda x: float(np.log(x).sum()), x0, ad.log
-
     def leaky_case(rng):
         x0 = away_from(rng, (3, 4), 0.0, 0.05)
         return lambda x: float(np.where(x > 0, x, 0.2 * x).sum()), x0, \
@@ -272,17 +254,6 @@ def _primitive_cases():
             rng.normal(size=(4, 3)), \
             lambda t: ad.mul(ad.sum1(t), ad.constant(w))
 
-    def logsumexp_case(rng):
-        w = rng.normal(size=(3, 1))
-
-        def f(x):
-            m = x.max(axis=1, keepdims=True)
-            lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
-            return float((lse * w).sum())
-
-        return f, rng.normal(size=(3, 5)), \
-            lambda t: ad.mul(ad.logsumexp1(t), ad.constant(w))
-
     def take_rows_case(rng):
         idx = np.array([2, 0, 2, 1])
         w = rng.normal(size=(4, 3))
@@ -301,21 +272,16 @@ def _primitive_cases():
         ("add", add_case),
         ("sub", sub_case),
         ("mul", mul_case),
-        ("div", div_case),
-        ("div_denominator", div_denominator_case),
         ("neg", neg_case),
         ("scale", scale_case),
         ("add_row", add_row_case),
         ("mul_scalar", mul_scalar_case),
         ("reciprocal", reciprocal_case),
         ("sigmoid", sigmoid_case),
-        ("exp", exp_case),
-        ("log", log_case),
         ("leaky_relu", leaky_case),
         ("clip", clip_case),
         ("sum0", sum0_case),
         ("sum1", sum1_case),
-        ("logsumexp1", logsumexp_case),
         ("take_rows", take_rows_case),
         ("reshape", reshape_case),
     ]
@@ -469,7 +435,7 @@ class TestAlgebraicInvariants:
         rng = np.random.default_rng(5)
         with ad.Tape() as tape:
             x = tape.leaf(rng.normal(size=(2, 2)))
-            f = ad.sum_all(ad.exp(ad.mul(x, x)))
+            f = ad.sum_all(ad.sigmoid(ad.mul(x, x)))
             ad.gradient(f, [x])
         for nid, ps in enumerate(tape.parents):
             assert all(p < nid for p in ps)

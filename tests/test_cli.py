@@ -76,6 +76,15 @@ TRAJ_YAML = textwrap.dedent("""\
       length: 20
     """)
 
+MIXTURE_YAML = textwrap.dedent("""\
+    model:
+      widths: [2, 8, 1]
+    train:
+      total_steps: 0
+    dataset:
+      kind: mixture
+    """)
+
 SPRITE_YAML = textwrap.dedent("""\
     model:
       widths: [256, 16, 1]
@@ -116,6 +125,11 @@ def cond_ckpt(workdir):
 @pytest.fixture(scope="module")
 def traj_ckpt(workdir):
     return _train(workdir, "traj", TRAJ_YAML, seed=4)
+
+
+@pytest.fixture(scope="module")
+def mixture_ckpt(workdir):
+    return _train(workdir, "mixture", MIXTURE_YAML, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +462,123 @@ def test_malformed_manifest_reports_contract_error(workdir, capsys, case):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error contract:") and err.count("\n") == 1
+
+
+def _set_top(key, value):
+    def edit(m):
+        m[key] = value
+        return m
+    return edit
+
+
+def _set_dataset(key, value):
+    def edit(m):
+        m["dataset"][key] = value
+        return m
+    return edit
+
+
+# Dataset provenance that cmd_train never writes: the eval commands that
+# rebuild the training data must reject it.
+MALFORMED_PROVENANCE = {
+    "string-seed": _set_top("seed", "abc"),
+    "negative-seed": _set_top("seed", -3),
+    "string-sigma": _set_dataset("sigma", "wide"),
+    "list-dataset": _set_top("dataset", [1, 2]),
+    "mixture-without-centers": _set_top("dataset", {"kind": "mixture"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROVENANCE))
+def test_malformed_provenance_reports_contract_error(mixture_ckpt, workdir,
+                                                     capsys, case):
+    bad = workdir / f"provenance-{case}.ebm"
+    bad.write_bytes(with_manifest(mixture_ckpt.read_bytes(),
+                                  MALFORMED_PROVENANCE[case]))
+    code = main(["eval", "--checkpoint", str(bad), "--metric", "ks-overfit",
+                 "--out", str(workdir / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error contract:") and err.count("\n") == 1
+
+
+MISTYPED_YAML = {
+    "string-lr": "train:\n  lr: abc\n",
+    "string-widths": "model:\n  widths: ab\n",
+    "list-model-section": "model: [1, 2]\n",
+    "scalar-clamp": "langevin:\n  clamp: 1\n",
+    "string-centers": "dataset:\n  kind: mixture\n  centers: abc\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_YAML))
+def test_mistyped_yaml_value_reports_config_error(workdir, capsys, case):
+    text = MISTYPED_YAML[case]
+    if "dataset:" not in text:
+        text += "dataset:\n  kind: mixture\n"
+    cfg = workdir / f"mistyped-{case}.yaml"
+    cfg.write_text(text)
+    code = main(["train", "--config", str(cfg), "--out",
+                 str(workdir / "x.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error config:") and err.count("\n") == 1
+
+
+def test_mistyped_continual_classes_report_config_error(workdir, capsys):
+    cfg = workdir / "mistyped-continual.yaml"
+    cfg.write_text("model:\n  num_classes: abc\ncontinual: {}\n")
+    code = main(["continual", "--config", str(cfg), "--out",
+                 str(workdir / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error config:") and err.count("\n") == 1
+
+
+BAD_FLAGS = {
+    "sample-negative-n": ("mixture", ["sample", "--n", "-1"], "--n"),
+    "sample-negative-seed": ("mixture", ["sample", "--seed", "-1"], "--seed"),
+    "compose-unparsable-label": ("mixture", ["compose", "--labels", "x"],
+                                 "--labels"),
+    "attack-negative-n": ("cond", ["attack", "--n", "-1"], "--n"),
+    "attack-zero-n": ("cond", ["attack", "--n", "0"], "--n"),
+    "attack-unparsable-eps": ("cond", ["attack", "--eps", "a,b"], "--eps"),
+    "coverage-negative-n": ("cond", ["eval", "--metric", "mode-coverage",
+                                     "--n", "-5"], "--n"),
+    "rollout-zero-horizon": ("cond", ["eval", "--metric", "frechet-rollout",
+                                      "--horizon", "0"], "--horizon"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_bad_flag_reports_config_error(mixture_ckpt, cond_ckpt, workdir,
+                                       capsys, case):
+    which, argv, flag = BAD_FLAGS[case]
+    ckpt = mixture_ckpt if which == "mixture" else cond_ckpt
+    key = "--checkpoints" if argv[0] == "compose" else "--checkpoint"
+    out = workdir / f"flag-{case}.csv"
+    code = main(argv[:1] + [key, str(ckpt), "--out", str(out)] + argv[1:])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error config:") and err.count("\n") == 1
+    assert flag in err
+    assert not out.exists()
+
+
+def test_cli_imports_every_module():
+    """Each module of the package is reached from the command line, so a
+    module that no command uses cannot linger unnoticed."""
+    package = Path(ebmkit.__file__).parent
+    expected = {f"ebmkit.{p.stem}" for p in package.glob("*.py")
+                if p.stem != "__init__"}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ebmkit.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert expected - set(proc.stdout.split()) == set()
 
 
 def test_malformed_yaml_reports_config_error(workdir, capsys):

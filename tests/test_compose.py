@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ebmkit.compose import finetune_combination, joint_sample, sum_energy
+from ebmkit.compose import SummedEnergy, finetune_combination, joint_sample
 from ebmkit.datagen import mini_sprites
 from ebmkit.errors import ConfigError, DimensionError, LabelError
 from ebmkit.model import EnergyNet, ModelConfig
@@ -37,11 +37,11 @@ def _random_net(seed, widths=(2, 16, 1)):
     return EnergyNet.init(cfg, np.random.default_rng(seed))
 
 
-# ------------------------------------------------------------- sum_energy
+# ----------------------------------------------------------- SummedEnergy
 
 def test_single_model_sum_is_identity():
     net = _random_net(0)
-    summed = sum_energy([(net, None)])
+    summed = SummedEnergy([(net, None)])
     x = np.random.default_rng(1).uniform(size=(32, 2))
     assert np.array_equal(summed.energy(x), net.energy(x))
     assert np.array_equal(summed.grad_x(x), net.grad_x(x))
@@ -50,7 +50,7 @@ def test_single_model_sum_is_identity():
 def test_summed_quadratics_minimized_at_midpoint():
     a = QuadraticEnergy(mu=[0.0], prec=[[4.0]])
     b = QuadraticEnergy(mu=[2.0], prec=[[4.0]])
-    summed = sum_energy([(a, None), (b, None)])
+    summed = SummedEnergy([(a, None), (b, None)])
     mid = np.array([[1.0]])
     assert abs(summed.grad_x(mid)[0, 0]) < 1e-12
     off = summed.energy(np.array([[0.9], [1.1]]))
@@ -59,7 +59,7 @@ def test_summed_quadratics_minimized_at_midpoint():
 
 def test_grad_of_sum_is_sum_of_grads():
     n1, n2 = _random_net(2), _random_net(3, widths=(2, 8, 8, 1))
-    summed = sum_energy([(n1, None), (n2, None)])
+    summed = SummedEnergy([(n1, None), (n2, None)])
     x = np.random.default_rng(4).uniform(size=(16, 2))
     expected = n1.grad_x(x) + n2.grad_x(x)
     assert np.allclose(summed.grad_x(x), expected, atol=1e-12)
@@ -71,12 +71,12 @@ def test_sum_rejects_dimension_mismatch():
     a = QuadraticEnergy(mu=[0.5], prec=[[1.0]])
     b = QuadraticEnergy(mu=[0.5, 0.5], prec=np.eye(2).tolist())
     with pytest.raises(DimensionError):
-        sum_energy([(a, None), (b, None)])
+        SummedEnergy([(a, None), (b, None)])
 
 
 def test_sum_rejects_empty_model_list():
     with pytest.raises(ConfigError):
-        sum_energy([])
+        SummedEnergy([])
 
 
 def test_sum_validates_labels():
@@ -85,12 +85,12 @@ def test_sum_validates_labels():
                                       spectral_norm=False),
                           np.random.default_rng(6))
     with pytest.raises(LabelError):
-        sum_energy([(uncond, 1)])
+        SummedEnergy([(uncond, 1)])
     with pytest.raises(LabelError):
-        sum_energy([(cond, None)])
+        SummedEnergy([(cond, None)])
     with pytest.raises(LabelError):
-        sum_energy([(cond, 3)])
-    summed = sum_energy([(cond, 2)])
+        SummedEnergy([(cond, 3)])
+    summed = SummedEnergy([(cond, 2)])
     x = np.random.default_rng(7).uniform(size=(4, 2))
     with pytest.raises(LabelError):
         summed.energy(x, labels=np.zeros(4, dtype=int))
@@ -118,19 +118,12 @@ def test_joint_samples_land_on_ridge_intersection():
     assert close.mean() >= 0.9
 
 
-def test_sequential_round_robin_also_finds_intersection():
-    samples = joint_sample(_ridge_pair(), _analytic_chain_config(steps=800),
-                           np.random.default_rng(9), n=400, sequential=True)
-    close = np.all(np.abs(samples - [0.3, 0.7]) < 0.1, axis=1)
-    assert close.mean() >= 0.9
-
-
 def test_single_component_joint_sampling_matches_run_chain():
     net = _random_net(10)
     cfg = LangevinConfig(steps=30, clamp=(0.0, 1.0))
     init = np.random.default_rng(11).uniform(size=(8, 2))
     a = joint_sample([(net, None)], cfg, np.random.default_rng(12), init=init)
-    b, _ = run_chain(init, net, cfg, np.random.default_rng(12), trace=False)
+    b = run_chain(init, net, cfg, np.random.default_rng(12))
     assert np.array_equal(a, b)
 
 
@@ -191,13 +184,13 @@ def test_finetune_lowers_target_energy_of_chain_endpoints():
     combos = [(None, None)]
     tuned = finetune_combination(nets, combos, cfg, rng, epochs=30)
 
-    frozen = sum_energy([(n, None) for n in nets])
+    frozen = SummedEnergy([(n, None) for n in nets])
 
     def endpoint_energy(model_nets, seed):
-        view = sum_energy([(n, None) for n in model_nets])
+        view = SummedEnergy([(n, None) for n in model_nets])
         r = np.random.default_rng(seed)
         x0 = r.uniform(size=(256, 2))
-        x, _ = run_chain(x0, view, cfg.langevin, r, trace=False)
+        x = run_chain(x0, view, cfg.langevin, r)
         return float(frozen.energy(x).mean())
 
     before = endpoint_energy(nets, 100)
@@ -306,7 +299,7 @@ def test_finetuned_experts_still_fit_training_data(sprite_experts):
     xb, yb = sprite_experts["pos"]
     noise_rng = np.random.default_rng(1234)
     for combo in _OBSERVED:
-        view = sum_energy(list(zip(tuned, combo)))
+        view = SummedEnergy(list(zip(tuned, combo)))
         if combo[1] == 1:
             data = xa[ya == combo[0]]
         else:

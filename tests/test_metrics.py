@@ -3,8 +3,8 @@ import pytest
 
 from ebmkit.errors import (ConfigError, DataError, DegenerateEstimateError,
                            DimensionError, LabelError)
-from ebmkit.metrics import (AISConfig, ais_logZ, auroc, energy_classify,
-                            frechet_gaussian, ks_statistic,
+from ebmkit.metrics import (QUADRATURE_CHUNK, AISConfig, ais_logZ, auroc,
+                            energy_classify, frechet_gaussian, ks_statistic,
                             log_partition_quadrature, metric_csv_row,
                             mode_coverage, pgd_attack, raise_logZ,
                             refined_classify)
@@ -13,7 +13,7 @@ from ebmkit.sampler import LangevinConfig, ReplayBuffer
 from ebmkit.trainer import AdamState, TrainConfig, train_step
 
 from helpers import (CallCounter, QuadraticEnergy, energy_config, ks_oracle,
-                     recomputing_logZ)
+                     one_call_quadrature, recomputing_logZ)
 
 
 class FlatEnergy:
@@ -93,6 +93,21 @@ def test_quadrature_matches_closed_form_2d():
     net = QuadraticEnergy(mu=[0.2, -0.1], prec=np.diag([2.0, 0.5]))
     logz = log_partition_quadrature(net, (-8.0, 8.0), 0.01)
     assert abs(logz - net.log_partition()) < 1e-4
+
+
+@pytest.mark.parametrize("widths,activation,resolution", [
+    ((2, 64, 64, 1), "swish", 0.01),
+    ((2, 64, 64, 1), "leaky_relu", 0.01),
+    ((1, 64, 64, 1), "swish", 1e-4),
+])
+def test_chunked_quadrature_matches_one_call_bit_for_bit(widths, activation,
+                                                         resolution):
+    net = EnergyNet.init(ModelConfig(widths=widths, activation=activation),
+                         np.random.default_rng(3))
+    rows = round(1.0 / resolution) ** widths[0]
+    assert rows > 2 * QUADRATURE_CHUNK and rows % QUADRATURE_CHUNK
+    assert (log_partition_quadrature(net, (0.0, 1.0), resolution)
+            == one_call_quadrature(net, 0.0, 1.0, resolution))
 
 
 def test_quadrature_per_axis_bounds():

@@ -93,8 +93,8 @@ class TestLangevinStep:
         net = QuadraticEnergy(dim=2)
         cfg = LangevinConfig(steps=50)
         init = np.random.default_rng(6).uniform(size=(8, 2))
-        a, _ = run_chain(init, net, cfg, np.random.default_rng(99))
-        b, _ = run_chain(init, net, cfg, np.random.default_rng(99))
+        a = run_chain(init, net, cfg, np.random.default_rng(99))
+        b = run_chain(init, net, cfg, np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
 
     def test_stationary_variance_matches_closed_form(self):
@@ -126,22 +126,29 @@ class TestRunChain:
     def test_zero_steps_returns_init(self):
         net = QuadraticEnergy(dim=2)
         init = np.random.default_rng(8).uniform(size=(3, 2))
-        out, trace = run_chain(init, net, LangevinConfig(steps=0),
-                               np.random.default_rng(0))
+        out = run_chain(init, net, LangevinConfig(steps=0),
+                        np.random.default_rng(0))
         np.testing.assert_array_equal(out, init)
-        assert trace.shape == (1, 3)
+        assert out is not init
 
-    def test_trace_disabled(self):
+    def test_final_state_matches_stepwise_chain(self):
         net = QuadraticEnergy(dim=2)
-        out, trace = run_chain(np.zeros((2, 2)), net, LangevinConfig(steps=3),
-                               np.random.default_rng(0), trace=False)
-        assert trace is None
+        cfg = LangevinConfig(steps=3, eps_box=0.5)
+        init = np.random.default_rng(17).uniform(size=(4, 2))
+        x, rng = init.copy(), np.random.default_rng(0)
+        for k in range(cfg.steps):
+            x = langevin_step(x, net, cfg, rng, center=init, step_index=k)
+        out = run_chain(init, net, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, x)
 
     def test_descent_trace_nonincreasing_without_noise(self):
         net = QuadraticEnergy(dim=3)
-        cfg = LangevinConfig(steps=40, step_size=0.1, noise=0.0)
-        init = np.random.default_rng(9).normal(size=(5, 3))
-        _, trace = run_chain(init, net, cfg, np.random.default_rng(0))
+        cfg = LangevinConfig(steps=1, step_size=0.1, noise=0.0)
+        x = np.random.default_rng(9).normal(size=(5, 3))
+        trace = [net.energy(x)]
+        for _ in range(40):
+            x = run_chain(x, net, cfg, np.random.default_rng(0))
+            trace.append(net.energy(x))
         assert np.all(np.diff(trace, axis=0) <= 1e-12)
 
     def test_two_mode_target_populates_both_modes(self):
@@ -154,7 +161,7 @@ class TestRunChain:
 
         rng = np.random.default_rng(10)
         init = rng.uniform(size=(64, 1))
-        out, _ = run_chain(init, net, MIX_CFG, rng)
+        out = run_chain(init, net, MIX_CFG, rng)
         near_left = np.abs(out[:, 0] - 0.25) < 0.1
         near_right = np.abs(out[:, 0] - 0.75) < 0.1
         assert np.all(near_left | near_right)
@@ -208,13 +215,13 @@ class TestReplayBuffer:
         with pytest.raises(DimensionError):
             buf.insert(np.zeros((1, 3)))
 
-    def test_load_restores_snapshot(self):
+    def test_insert_restores_snapshot(self):
         buf = ReplayBuffer(capacity=5)
         buf.insert(np.random.default_rng(0).uniform(size=(7, 2)),
                    labels=np.arange(7) % 3)
         samples, labels = buf.snapshot()
         other = ReplayBuffer(capacity=5)
-        other.load(samples, labels)
+        other.insert(samples, labels)
         s2, l2 = other.snapshot()
         np.testing.assert_array_equal(samples, s2)
         np.testing.assert_array_equal(labels, l2)
@@ -332,7 +339,7 @@ class TestInpaint:
         cfg = LangevinConfig(steps=200, step_size=2.5e-4, noise=0.005,
                              grad_clip=1e6)
         x0 = np.array([[0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
-        out, _ = run_chain(x0, net, cfg, np.random.default_rng(13))
+        out = run_chain(x0, net, cfg, np.random.default_rng(13))
         assert np.max(np.abs(out - x0)) < 0.05
 
 
