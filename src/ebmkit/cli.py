@@ -502,7 +502,9 @@ def _eval_logz(args, bundle, rng):
             metric_csv_row("logz_upper", upper, **setup)]
     d = net.config.input_dim
     if d <= 2:
-        resolution = args.quad_resolution or (1e-4 if d == 1 else 5e-3)
+        resolution = args.quad_resolution
+        if resolution is None:
+            resolution = 1e-4 if d == 1 else 5e-3
         truth = log_partition_quadrature(net, (0.0, 1.0), resolution)
         rows.append(metric_csv_row("logz_quadrature", truth,
                                    resolution=resolution))
@@ -823,13 +825,23 @@ def _setup_logging():
 
 
 def _check_flags(args):
-    """argparse checks only that these flags are integers."""
+    """argparse checks only that these flags are numbers."""
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     for flag in ("n", "horizon"):
         value = vars(args).get(flag)
         if value is not None and value < 1:
             raise ConfigError(f"--{flag} must be >= 1, got {value}")
+    for flag in ("steps", "refine_steps"):
+        value = vars(args).get(flag)
+        if value is not None and value < 0:
+            raise ConfigError(
+                f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    resolution = vars(args).get("quad_resolution")
+    if resolution is not None and not (np.isfinite(resolution)
+                                       and resolution > 0):
+        raise ConfigError(
+            f"--quad-resolution must be a finite number > 0, got {resolution}")
 
 
 def main(argv=None):

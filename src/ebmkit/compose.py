@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, DimensionError, LabelError
 from .sampler import run_chain
 from .trainer import AdamState, kl_finetune_step
@@ -92,26 +91,21 @@ class SummedEnergy:
             if net.config.spectral_norm:
                 net.spectral_update(iters=iters)
 
-    def lift_parameters(self, tape):
-        lifted = []
-        for net, _ in self.parts:
-            lifted.extend(net.lift_parameters(tape))
-        return lifted
-
-    def taped_energy(self, x, labels=None, params=None):
+    def backward(self, x, labels=None, r=None, c=None):
+        """EnergyNet.backward of the sum: the components' x-gradients
+        add up, and their parameter gradients are keyed like
+        parameters()."""
         if labels is not None:
             raise LabelError("component labels are fixed at composition time")
-        xv = x.data if isinstance(x, ad.Tensor) else np.asarray(x)
-        total = None
-        offset = 0
-        for net, label in self.parts:
-            width = len(net.layers)
-            sub = None if params is None else params[offset:offset + width]
-            offset += width
-            e = net.taped_energy(x, self._labels_for(label, xv.shape[0]),
-                                 params=sub)
-            total = e if total is None else ad.add(total, e)
-        return total
+        x = np.asarray(x, dtype=np.float64)
+        total = np.zeros_like(x)
+        grads = {}
+        for i, (net, label) in enumerate(self.parts):
+            gx, part = net.backward(x, self._labels_for(label, x.shape[0]),
+                                    r=r, c=c)
+            total = total + gx
+            grads.update((f"part{i}.{name}", g) for name, g in part.items())
+        return total, grads
 
 
 def joint_sample(models, cfg, rng, init=None, n=64):
@@ -133,9 +127,9 @@ def finetune_combination(models, observed_labels, cfg, rng, epochs=1):
     per-component label tuples, one per training dataset slice. Each
     epoch visits every observed combination once, running one
     kl_finetune_step with the frozen original sum as the target
-    landscape. cfg.langevin must respect the taped-chain step cap.
-    Returns the list of adjusted component nets (zero epochs returns
-    unchanged copies).
+    landscape; the loss gradient runs back through every step of the
+    cfg.langevin chain (see kl_finetune_loss). Returns the list of
+    adjusted component nets (zero epochs returns unchanged copies).
     """
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")

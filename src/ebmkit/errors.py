@@ -49,12 +49,6 @@ class TrainingDivergedError(EbmError):
     category = "training-diverged"
 
 
-class TapeDepthError(EbmError):
-    """A differentiable chain was requested beyond the supported depth."""
-
-    category = "tape-depth"
-
-
 class DegenerateEstimateError(EbmError):
     """All importance weights collapsed to -inf."""
 

@@ -401,6 +401,8 @@ def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
     """
     if not eps > 0:
         raise ConfigError("eps must be > 0")
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
     if norm not in ("linf", "l2"):
         raise ConfigError(f"norm must be 'linf' or 'l2', got {norm!r}")
     if step_size is None:

@@ -5,20 +5,28 @@ EnergyNet maps each row of x to one real energy. Hidden layers are affine
 h <- gamma_y * h + beta_y) when the model is conditional; the final layer
 is a plain affine map of width 1. Besides the numpy energy it has a
 closed-form input gradient grad_x, whose hidden pass also yields each
-layer's activation derivative (one sigmoid per layer), and a taped energy
-for parameter gradients and differentiable chains.
+layer's activation derivative (one sigmoid per layer), and a closed-form
+reverse pass, backward, for parameter gradients. backward differentiates
+phi = sum_i r_i E(x_i) + sum_i c_i . grad_x E(x_i): a forward pass carries
+the tangent c, one reverse pass returns the x- and parameter gradients
+(Pearlmutter 1994, Fast Exact Multiplication by the Hessian). With c = 0
+that is the gradient of a loss on energies; with r = 0 it is the
+second-order product a differentiated Langevin chain needs. The taped
+energy (autodiff) computes the same quantities and serves as their
+reference in the tests.
 
 Spectral normalization divides each weight matrix by its estimated top
 singular value. The estimate comes from a stored left-vector u updated by
 power iteration; the right vector v and the scale sigma = u^T W v are
 derived from (W, u) at use time rather than cached, so a checkpoint that
 stores only (W, b, gamma, beta, u) reproduces forward passes bit-exactly.
+Parameter gradients go through W / sigma with u and v held fixed.
 
 Every energy model the toolkit consumes (EnergyNet, the summed
 composition, test stand-ins) follows one protocol: energy(x, labels) and
 grad_x(x, labels) on batches, plus a config with input_dim, num_classes
-and spectral_norm. Trainable models add parameters, lift_parameters,
-taped_energy, clone and, when spectral_norm is set, spectral_update.
+and spectral_norm. Trainable models add parameters, backward, clone and,
+when spectral_norm is set, spectral_update.
 """
 
 from __future__ import annotations
@@ -48,17 +56,23 @@ def activation_slope_bound(kind):
     raise ConfigError(f"unsupported activation {kind!r}")
 
 
-def _act(z, kind, derivs=None):
-    """Activation of z; appends its derivative to derivs when a list is
-    given. Swish takes one sigmoid s for both: z s and s + z s (1 - s)."""
+def _act(z, kind, derivs=None, curvs=None):
+    """Activation of z; appends its derivative to derivs and its second
+    derivative to curvs when lists are given. Swish takes one sigmoid s
+    for all three: z s, s + z s (1 - s) and s (1 - s) (2 + z (1 - 2 s));
+    leaky ReLU is piecewise linear, so its second derivative is 0."""
     if kind == "swish":
         s = ad.stable_sigmoid(z)
         zs = z * s
         if derivs is not None:
             derivs.append(s + zs * (1.0 - s))
+        if curvs is not None:
+            curvs.append(s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s)))
         return zs
     if derivs is not None:
         derivs.append(np.where(z > 0, 1.0, LEAKY_SLOPE))
+    if curvs is not None:
+        curvs.append(0.0)
     return np.where(z > 0, z, LEAKY_SLOPE * z)
 
 
@@ -290,13 +304,83 @@ class EnergyNet:
             g = g @ w_effs[i].T
         return g
 
+    def backward(self, x, labels=None, r=None, c=None):
+        """Gradients of phi = sum_i r[i] E(x[i]) + sum_i c[i] . grad_x E(x[i]).
+
+        r has shape (batch,) and c the shape of x; None stands for zero.
+        Returns (d phi / d x, {name: d phi / d parameter}) keyed like
+        parameters(). The forward pass carries the tangent dh = c along
+        the hidden states; one reverse pass then runs through both.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        labels = self._check_inputs(x, labels)
+        n = x.shape[0]
+        r = np.zeros(n) if r is None else np.asarray(r, dtype=np.float64)
+        dh = np.zeros_like(x) if c is None else np.asarray(c, dtype=np.float64)
+        if r.shape != (n,) or dh.shape != x.shape:
+            raise DimensionError(
+                f"cotangents of shape {r.shape} and {dh.shape} do not match "
+                f"inputs of shape {x.shape}")
+        kind = self.config.activation
+        w_effs = [self._effective_weight(l) for l in self.layers]
+        derivs, curvs, saved = [], [], []
+        h = x
+        for layer, w in zip(self.layers[:-1], w_effs):
+            a = _act(h @ w + layer.b, kind, derivs, curvs)
+            dz = dh @ w
+            da = derivs[-1] * dz
+            saved.append((h, dh, a, dz, da))
+            if layer.gamma is None:
+                h, dh = a, da
+            else:
+                gain = layer.gamma[labels]
+                h, dh = a * gain + layer.beta[labels], da * gain
+
+        # hb and dhb are the adjoints of the hidden state and its tangent
+        w = w_effs[-1]
+        grads = [None] * len(self.layers)
+        grads[-1] = {"w": h.T @ r[:, None] + dh.sum(axis=0)[:, None],
+                     "b": r.sum(keepdims=True)}
+        hb = r[:, None] * w.T
+        dhb = np.broadcast_to(w.T, h.shape)
+        if labels is not None:
+            onehot = (labels[:, None] == np.arange(self.config.num_classes)
+                      ).astype(np.float64)
+        for i in range(len(self.layers) - 2, -1, -1):
+            layer, w = self.layers[i], w_effs[i]
+            h, dh, a, dz, da = saved[i]
+            g = {}
+            if layer.gamma is not None:
+                g["gamma"] = onehot.T @ (hb * a + dhb * da)
+                g["beta"] = onehot.T @ hb
+                gain = layer.gamma[labels]
+                hb, dhb = hb * gain, dhb * gain
+            dzb = dhb * derivs[i]
+            zb = hb * derivs[i] + dhb * dz * curvs[i]
+            g["w"] = h.T @ zb + dh.T @ dzb
+            g["b"] = zb.sum(axis=0)
+            hb, dhb = zb @ w.T, dzb @ w.T
+            grads[i] = g
+
+        for layer, w, g in zip(self.layers, w_effs, grads):
+            if w is not layer.w:
+                # w = W / sigma with sigma = u^T W v, u and v held fixed
+                wu = layer.w.T @ layer.u
+                sigma = np.linalg.norm(wu)
+                g["w"] = (g["w"] - np.sum(g["w"] * w)
+                          * np.outer(layer.u, wu / sigma)) / sigma
+        return hb, {f"layer{i}.{k}": g[k]
+                    for i, (layer, g) in enumerate(zip(self.layers, grads))
+                    for k, _ in _trainable(layer)}
+
     def taped_energy(self, x, labels=None, params=None):
         """Energy per row, shape (batch,), built from recorded operations.
 
         x is a Tensor (leaf or intermediate) or an array. When params is
         None the current weights enter as constants so only x is
         differentiated; pass the structure from lift_parameters() to
-        differentiate the parameters as well.
+        differentiate the parameters as well. No command runs it: it is
+        the tests' reference for grad_x and backward.
         """
         xv = x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(xv, labels)

@@ -7,15 +7,16 @@ outputs anchored near zero:
     loss = mean( alpha * (E(x+)^2 + E(x-)^2) + E(x+) - E(x-) )
 
 Negatives come from short Langevin chains initialized by the replay
-buffer. The chains run outside the tape: their states enter the loss as
-constants, so parameter gradients flow through the energy evaluations
-only, not through the sampling procedure that produced them.
+buffer. Their states enter the loss as constants, so parameter gradients
+flow through the energy evaluations only: one reverse pass of the model
+(backward) with the loss's derivative in each energy as cotangent.
 
-kl_finetune_step is the exception: there the whole chain is recorded and
-differentiated, which exercises second-order derivatives of the energy.
-Its loss is the frozen-snapshot energy of the chain's endpoint, pushing
-the sampler's output distribution toward the snapshot's low-energy
-regions.
+kl_finetune_step differentiates through the sampler instead. Its loss is
+the frozen-snapshot energy of the chain's endpoint, pushing the sampler's
+output distribution toward the snapshot's low-energy regions (Du et al.
+2021, Improved Contrastive Divergence Training of EBMs). The chain runs
+in numpy and records each state; the reverse walk then takes, per step,
+one second-order product of the model through that step's grad_x.
 """
 
 from __future__ import annotations
@@ -25,14 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .errors import (ConfigError, ContractError, DimensionError,
-                     TapeDepthError, TrainingDivergedError)
+from .errors import (ChainDivergedError, ConfigError, ContractError,
+                     DimensionError, TrainingDivergedError)
 from .sampler import LangevinConfig, init_batch, run_chain
-
-# Recording K chain steps costs O(K) tape memory twice over (forward and
-# the emitted adjoint ops); keep taped chains short.
-MAX_TAPED_STEPS = 10
 
 
 @dataclass
@@ -87,16 +83,39 @@ class StepReport:
 
 
 def contrastive_loss(e_pos, e_neg, alpha):
-    """Scalar training objective; see the module docstring.
+    """Scalar training objective (see the module docstring) and its
+    derivatives in each energy: (loss, d loss / d e_pos, d loss / d e_neg).
 
-    e_pos and e_neg are per-row energy tensors of equal length. The alpha
-    term penalizes squared energies of both signs symmetrically.
+    e_pos and e_neg are per-row energies of equal length. The alpha term
+    penalizes squared energies of both signs symmetrically.
     """
-    if e_pos.data.shape != e_neg.data.shape:
+    e_pos = np.asarray(e_pos, dtype=np.float64)
+    e_neg = np.asarray(e_neg, dtype=np.float64)
+    if e_pos.shape != e_neg.shape:
         raise DimensionError(
-            f"batch sizes differ: {e_pos.data.shape} vs {e_neg.data.shape}")
-    l2 = ad.scale(ad.add(ad.mul(e_pos, e_pos), ad.mul(e_neg, e_neg)), alpha)
-    return ad.mean_all(ad.add(l2, ad.sub(e_pos, e_neg)))
+            f"batch sizes differ: {e_pos.shape} vs {e_neg.shape}")
+    n = e_pos.size
+    loss = np.mean(alpha * (e_pos * e_pos + e_neg * e_neg) + (e_pos - e_neg))
+    return loss, (2.0 * alpha * e_pos + 1.0) / n, (2.0 * alpha * e_neg - 1.0) / n
+
+
+def contrastive_gradient(net, batch, x_neg, alpha, labels=None):
+    """Energies, loss and parameter gradients of one contrastive step.
+
+    Data and negatives share the labels and go through one energy pass and
+    one reverse pass. Returns (e_pos, e_neg, loss, gradient dict keyed like
+    net.parameters()).
+    """
+    n = batch.shape[0]
+    both = np.concatenate([batch, x_neg])
+    both_labels = None if labels is None else np.concatenate([labels, labels])
+    e = net.energy(both, both_labels)
+    e_pos, e_neg = e[:n], e[n:]
+    loss, r_pos, r_neg = contrastive_loss(e_pos, e_neg, alpha)
+    if not np.isfinite(loss):
+        raise TrainingDivergedError("loss is not finite")
+    _, grads = net.backward(both, both_labels, r=np.concatenate([r_pos, r_neg]))
+    return e_pos, e_neg, loss, grads
 
 
 def adam_step(params, grads, state, cfg):
@@ -138,27 +157,16 @@ def adam_step(params, grads, state, cfg):
 def train_step(net, batch, buffer, cfg, state, rng, labels=None):
     """One full training step; returns a StepReport.
 
-    Order of effects: sample negatives (buffer-initialized chain), build
-    the taped loss, Adam-update the parameters, refresh the spectral
+    Order of effects: sample negatives (buffer-initialized chain), take
+    the loss gradient, Adam-update the parameters, refresh the spectral
     estimates, then insert the negatives into the buffer.
     """
     t0 = time.perf_counter()
     batch = np.asarray(batch, dtype=np.float64)
     x_init, _ = init_batch(buffer, batch.shape[0], batch.shape[1], rng)
     x_neg = run_chain(x_init, net, cfg.langevin, rng, labels=labels)
-
-    with ad.Tape() as tape:
-        params = net.lift_parameters(tape)
-        e_pos = net.taped_energy(ad.constant(batch), labels, params=params)
-        e_neg = net.taped_energy(ad.constant(x_neg), labels, params=params)
-        loss = contrastive_loss(e_pos, e_neg, cfg.alpha)
-        if not np.isfinite(loss.data):
-            raise TrainingDivergedError("loss is not finite")
-        leaves = [t for entry in params for t in entry.values()]
-        grad_tensors = ad.gradient(loss, leaves)
-
-    names = [name for name, _ in net.parameters()]
-    grads = {name: g.data for name, g in zip(names, grad_tensors)}
+    e_pos, e_neg, loss, grads = contrastive_gradient(net, batch, x_neg,
+                                                     cfg.alpha, labels)
     adam_step(net.parameters(), grads, state, cfg)
     if net.config.spectral_norm:
         net.spectral_update()
@@ -166,79 +174,71 @@ def train_step(net, batch, buffer, cfg, state, rng, labels=None):
 
     wall_ms = (time.perf_counter() - t0) * 1e3
     return StepReport(step=state.t,
-                      e_pos=float(e_pos.data.mean()),
-                      e_neg=float(e_neg.data.mean()),
-                      loss=float(loss.data),
+                      e_pos=float(e_pos.mean()),
+                      e_neg=float(e_neg.mean()),
+                      loss=float(loss),
                       wall_ms=wall_ms)
-
-
-def taped_chain(net, params, x0, langevin, rng, labels=None):
-    """Langevin chain recorded on the active tape.
-
-    x0 enters as a constant; gradients flow into the chain through the
-    drift term's dependence on the lifted parameters. Noise draws are
-    fresh constants (not reparameterized). Returns the final state
-    tensor. Chains longer than MAX_TAPED_STEPS are refused.
-    """
-    if langevin.steps > MAX_TAPED_STEPS:
-        raise TapeDepthError(
-            f"taped chain of {langevin.steps} steps exceeds the cap of "
-            f"{MAX_TAPED_STEPS}")
-    if langevin.eps_box is not None:
-        raise ContractError("eps_box projection is not supported in taped chains")
-    tape = ad.active_tape()
-    if tape is None:
-        raise ContractError("taped_chain requires an entered Tape")
-    x0 = np.asarray(x0, dtype=np.float64)
-    # a leaf, not a constant: the chain's inner energy gradients are taken
-    # with respect to the current state, which must live on the tape
-    x = tape.leaf(x0)
-    mask_f = None
-    if langevin.mask is not None:
-        mask_f = langevin.mask.astype(np.float64)
-    for _ in range(langevin.steps):
-        e = net.taped_energy(x, labels, params=params)
-        (g,) = ad.gradient(ad.sum_all(e), [x])
-        g = ad.clip(g, -langevin.grad_clip, langevin.grad_clip)
-        new = ad.sub(x, ad.scale(g, langevin.step_size))
-        if langevin.noise > 0:
-            new = ad.add(new, ad.constant(
-                langevin.noise * rng.normal(size=x0.shape)))
-        if langevin.clamp is not None:
-            new = ad.clip(new, langevin.clamp[0], langevin.clamp[1])
-        if mask_f is None:
-            x = new
-        else:
-            frozen = ad.constant((1.0 - mask_f) * x0)
-            x = ad.add(ad.mul(new, ad.constant(
-                np.broadcast_to(mask_f, x0.shape).copy())), frozen)
-    return x
 
 
 def kl_finetune_loss(net, snapshot, langevin, rng, init, labels=None):
     """Loss and parameter gradients for one fine-tuning step.
 
-    Runs a fully taped chain under net's current parameters, then scores
-    the endpoint with the frozen snapshot energy. Returns (loss value,
-    gradient dict keyed like net.parameters()).
+    Runs langevin.steps chain steps from init under net's current
+    parameters, with the noise drawn from rng as sampling draws it, and
+    scores the endpoint x_K with the frozen snapshot: loss =
+    mean(E_snap(x_K)). The noise is not reparameterized and init is a
+    constant, so the gradient flows through each step's drift alone.
+    Going back from a = grad E_snap(x_K) / n, each step zeroes a where its
+    clamp bound or the mask held the state, takes the model's reverse pass
+    with gradient cotangent -step_size * a on the unclipped components,
+    adds the returned x-gradient to a and the parameter gradients to the
+    total. Returns (loss value, gradient dict keyed like net.parameters()).
     """
-    with ad.Tape() as tape:
-        params = net.lift_parameters(tape)
-        x_final = taped_chain(net, params, init, langevin, rng, labels=labels)
-        e_bar = snapshot.taped_energy(x_final, labels, params=None)
-        loss = ad.mean_all(e_bar)
-        if not np.isfinite(loss.data):
-            raise TrainingDivergedError("fine-tuning loss is not finite")
-        if loss.node is None:
-            # zero-step chain: the endpoint is a constant, so the loss
-            # carries no parameter dependence at all
-            grads = {name: np.zeros_like(p) for name, p in net.parameters()}
-            return float(loss.data), grads
-        leaves = [t for entry in params for t in entry.values()]
-        grad_tensors = ad.gradient(loss, leaves)
-    names = [name for name, _ in net.parameters()]
-    grads = {name: g.data for name, g in zip(names, grad_tensors)}
-    return float(loss.data), grads
+    if langevin.eps_box is not None:
+        raise ContractError(
+            "eps_box projection is not supported in differentiated chains")
+    x = np.array(init, dtype=np.float64)
+    mask = langevin.mask
+    if mask is not None and mask.shape != (x.shape[1],):
+        raise DimensionError(
+            f"mask shape {mask.shape} does not match dimension {x.shape[1]}")
+    clip, lam = langevin.grad_clip, langevin.step_size
+    # per step: its state, the components the gradient clip left alone,
+    # and the components whose update went through (None: all of them)
+    record = []
+    for k in range(langevin.steps):
+        g = net.grad_x(x, labels)
+        if not np.all(np.isfinite(g)):
+            raise ChainDivergedError("energy gradient is not finite", k)
+        new = x - lam * np.clip(g, -clip, clip)
+        if langevin.noise > 0:
+            new = new + langevin.noise * rng.normal(size=x.shape)
+        passed = None
+        if langevin.clamp is not None:
+            lo, hi = langevin.clamp
+            passed = (new > lo) & (new < hi)
+            new = np.clip(new, lo, hi)
+        if mask is not None:
+            passed = mask if passed is None else passed & mask
+            new = np.where(mask, new, x)
+        record.append((x, np.abs(g) < clip, passed))
+        x = new
+
+    loss = float(np.mean(snapshot.energy(x, labels)))
+    if not np.isfinite(loss):
+        raise TrainingDivergedError("fine-tuning loss is not finite")
+    grads = {name: np.zeros_like(p) for name, p in net.parameters()}
+    if not record:
+        return loss, grads
+    a = snapshot.grad_x(x, labels) / x.shape[0]
+    for x_k, unclipped, passed in reversed(record):
+        if passed is not None:
+            a = a * passed
+        gx, step_grads = net.backward(x_k, labels, c=-lam * (a * unclipped))
+        a = a + gx
+        for name, g in step_grads.items():
+            grads[name] += g
+    return loss, grads
 
 
 def kl_finetune_step(net, snapshot, cfg, state, rng, *, langevin=None,
@@ -246,8 +246,8 @@ def kl_finetune_step(net, snapshot, cfg, state, rng, *, langevin=None,
     """Differentiate through the sampler and Adam-update the parameters.
 
     snapshot provides the frozen target energy; langevin defaults to
-    cfg.langevin and must stay within the taped-chain step cap. init
-    defaults to uniform noise on [0,1]^d. Returns the scalar loss.
+    cfg.langevin. init defaults to uniform noise on [0,1]^d. Returns the
+    scalar loss.
     """
     langevin = cfg.langevin if langevin is None else langevin
     if init is None:

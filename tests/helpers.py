@@ -7,7 +7,10 @@ models and malformed-checkpoint builders are shared here too, and so are
 the earlier forms of three kernels (the masked sigmoid with a two-sigmoid
 input gradient, the MALA sweep that recomputes energies and gradients,
 and the quadrature that scores its whole grid in one energy call), kept
-as bit-exact oracles for their replacements.
+as bit-exact oracles for their replacements. The taped (autodiff) forms
+of the contrastive gradient and of the differentiated fine-tuning chain
+are the references for the closed-form reverse passes, and a composite
+Simpson rule on a fine grid is the reference for the quadrature.
 """
 
 import json
@@ -148,8 +151,9 @@ class TapedQuadratic:
     """Trainable two-parameter energy E(x) = 0.5 * w * ||x - mu||^2.
 
     Implements the same protocol as the package's energy nets (config /
-    parameters / lift_parameters / taped_energy / energy / grad_x) so it
-    can stand in wherever a tiny analytic model makes the math checkable.
+    parameters / backward / energy / grad_x, plus lift_parameters /
+    taped_energy for the tape) so it can stand in wherever a tiny
+    analytic model makes the math checkable.
     """
 
     def __init__(self, mu, w=1.0):
@@ -183,6 +187,19 @@ class TapedQuadratic:
 
     def grad_x(self, x, labels=None):
         return float(self.w) * (np.asarray(x, dtype=np.float64) - self.mu)
+
+    def backward(self, x, labels=None, r=None, c=None):
+        """Gradients of phi = sum_i r_i E(x_i) + sum_i c_i . grad_x E(x_i)
+        = sum_i r_i w ||x_i - mu||^2 / 2 + w sum_i c_i . (x_i - mu)."""
+        delta = np.asarray(x, dtype=np.float64) - self.mu
+        r = np.zeros(delta.shape[0]) if r is None else np.asarray(r)
+        c = np.zeros_like(delta) if c is None else np.asarray(c)
+        w = float(self.w)
+        pull = r[:, None] * delta + c
+        grads = {"mu": -w * pull.sum(axis=0),
+                 "w": np.asarray(0.5 * np.sum(r * (delta ** 2).sum(axis=1))
+                                 + np.sum(c * delta))}
+        return w * pull, grads
 
 
 def with_manifest(raw, edit):
@@ -399,3 +416,121 @@ class CallCounter:
     def grad_x(self, x, labels=None):
         self.calls["grad_x"] += 1
         return self.net.grad_x(x, labels)
+
+
+# ---------------------------------------------------------------------------
+# the tape as the reference for the closed-form parameter gradients
+
+def lift_parameters(model, tape):
+    """Tape leaves for model's parameters, in parameters() order; a
+    SummedEnergy lifts its components in turn."""
+    from ebmkit.compose import SummedEnergy
+    if isinstance(model, SummedEnergy):
+        return [entry for net, _ in model.parts
+                for entry in net.lift_parameters(tape)]
+    return model.lift_parameters(tape)
+
+
+def taped_energy(model, x, labels=None, params=None):
+    """model.taped_energy; for a SummedEnergy, the taped sum of its
+    components' energies, each under its fixed label."""
+    from ebmkit import autodiff as ad
+    from ebmkit.compose import SummedEnergy
+    if not isinstance(model, SummedEnergy):
+        return model.taped_energy(x, labels, params=params)
+    assert labels is None
+    rows = (x.data if isinstance(x, ad.Tensor) else np.asarray(x)).shape[0]
+    total = None
+    offset = 0
+    for net, label in model.parts:
+        width = len(net.layers)
+        sub = None if params is None else params[offset:offset + width]
+        offset += width
+        part_labels = None if label is None else np.full(rows, label)
+        e = net.taped_energy(x, part_labels, params=sub)
+        total = e if total is None else ad.add(total, e)
+    return total
+
+
+def _leaf_gradients(model, loss, params):
+    from ebmkit import autodiff as ad
+    leaves = [t for entry in params for t in entry.values()]
+    names = [name for name, _ in model.parameters()]
+    return {name: g.data for name, g in zip(names, ad.gradient(loss, leaves))}
+
+
+def taped_contrastive_gradient(model, batch, x_neg, alpha, labels=None):
+    """(loss, gradient dict) of the contrastive loss, recorded on a tape."""
+    from ebmkit import autodiff as ad
+    with ad.Tape() as tape:
+        params = lift_parameters(model, tape)
+        e_pos = taped_energy(model, ad.constant(batch), labels, params)
+        e_neg = taped_energy(model, ad.constant(x_neg), labels, params)
+        l2 = ad.scale(ad.add(ad.mul(e_pos, e_pos), ad.mul(e_neg, e_neg)),
+                      alpha)
+        loss = ad.mean_all(ad.add(l2, ad.sub(e_pos, e_neg)))
+        return float(loss.data), _leaf_gradients(model, loss, params)
+
+
+def taped_chain(model, params, x0, langevin, rng, labels=None):
+    """Langevin chain recorded on the active tape.
+
+    x0 enters as a leaf; gradients flow into the chain through the drift
+    term's dependence on the lifted parameters. Noise draws are fresh
+    constants (not reparameterized). Returns the final state tensor.
+    """
+    from ebmkit import autodiff as ad
+    tape = ad.active_tape()
+    x0 = np.asarray(x0, dtype=np.float64)
+    # a leaf, not a constant: the chain's inner energy gradients are taken
+    # with respect to the current state, which must live on the tape
+    x = tape.leaf(x0)
+    mask_f = None
+    if langevin.mask is not None:
+        mask_f = langevin.mask.astype(np.float64)
+    for _ in range(langevin.steps):
+        e = taped_energy(model, x, labels, params)
+        (g,) = ad.gradient(ad.sum_all(e), [x])
+        g = ad.clip(g, -langevin.grad_clip, langevin.grad_clip)
+        new = ad.sub(x, ad.scale(g, langevin.step_size))
+        if langevin.noise > 0:
+            new = ad.add(new, ad.constant(
+                langevin.noise * rng.normal(size=x0.shape)))
+        if langevin.clamp is not None:
+            new = ad.clip(new, langevin.clamp[0], langevin.clamp[1])
+        if mask_f is None:
+            x = new
+        else:
+            frozen = ad.constant((1.0 - mask_f) * x0)
+            x = ad.add(ad.mul(new, ad.constant(
+                np.broadcast_to(mask_f, x0.shape).copy())), frozen)
+    return x
+
+
+def taped_kl_finetune_loss(model, snapshot, langevin, rng, init, labels=None):
+    """(loss, gradient dict) of the fine-tuning loss mean(E_snap(x_K)),
+    with the whole chain recorded on a tape and differentiated."""
+    from ebmkit import autodiff as ad
+    with ad.Tape() as tape:
+        params = lift_parameters(model, tape)
+        x_final = taped_chain(model, params, init, langevin, rng, labels)
+        loss = ad.mean_all(taped_energy(snapshot, x_final, labels))
+        if loss.node is None:
+            # zero-step chain: the loss does not depend on the parameters
+            return float(loss.data), {name: np.zeros_like(p)
+                                      for name, p in model.parameters()}
+        return float(loss.data), _leaf_gradients(model, loss, params)
+
+
+def simpson_log_partition(net, lo, hi, intervals):
+    """log of the integral of exp(-E) over [lo, hi] for a 1-D model, by
+    the composite Simpson rule on an even number of intervals."""
+    assert intervals % 2 == 0
+    x = np.linspace(lo, hi, intervals + 1)
+    log_f = -net.energy(x[:, None])
+    weights = np.ones(intervals + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    m = log_f.max()
+    h = (hi - lo) / intervals
+    return float(m + np.log(np.sum(weights * np.exp(log_f - m)) * h / 3.0))

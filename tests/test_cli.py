@@ -21,7 +21,8 @@ import ebmkit
 from ebmkit.checkpoint import load_checkpoint
 from ebmkit.cli import main
 
-from helpers import MALFORMED_MANIFESTS, save_stateful_checkpoint, with_manifest
+from helpers import (MALFORMED_MANIFESTS, save_stateful_checkpoint,
+                     simpson_log_partition, with_manifest)
 
 ONED_YAML = textwrap.dedent("""\
     model:
@@ -299,8 +300,10 @@ def test_logz_bracket_contains_quadrature_truth(oned_ckpt, workdir):
                  "--transitions", "1", "--mala-step", "0.002"]) == 0
     vals = _metric_values(out)
     assert vals["logz_lower"] <= vals["logz_quadrature"] <= vals["logz_upper"]
-    # 1e-4-resolution midpoint rule on a smooth 1D energy: treat as truth
-    assert vals["logz_quadrature"] == pytest.approx(-0.2967660739, abs=1e-6)
+    # the 1e-4 midpoint rule against Simpson's rule on a 10x finer grid
+    truth = simpson_log_partition(load_checkpoint(oned_ckpt).net, 0.0, 1.0,
+                                  100_000)
+    assert vals["logz_quadrature"] == pytest.approx(truth, abs=1e-6)
 
 
 def test_eval_is_byte_deterministic(oned_ckpt, workdir):
@@ -547,6 +550,14 @@ BAD_FLAGS = {
                                      "--n", "-5"], "--n"),
     "rollout-zero-horizon": ("cond", ["eval", "--metric", "frechet-rollout",
                                       "--horizon", "0"], "--horizon"),
+    "attack-negative-steps": ("cond", ["attack", "--steps", "-1"], "--steps"),
+    "attack-negative-refine-steps": ("cond", ["attack", "--refine",
+                                              "--refine-steps", "-1"],
+                                     "--refine-steps"),
+    **{f"logz-quad-resolution-{value}": (
+        "mixture", ["eval", "--metric", "logz-bracket",
+                    "--quad-resolution", value], "--quad-resolution")
+       for value in ("0", "-0.01", "nan", "inf")},
 }
 
 

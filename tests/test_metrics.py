@@ -548,6 +548,8 @@ def test_pgd_validates_arguments():
         pgd_attack(net, np.zeros((1, 2)), np.array([0]), eps=0.0)
     with pytest.raises(ConfigError):
         pgd_attack(net, np.zeros((1, 2)), np.array([0]), eps=0.1, norm="l1")
+    with pytest.raises(ConfigError):
+        pgd_attack(net, np.zeros((1, 2)), np.array([0]), eps=0.1, steps=-1)
 
 
 # ---------------------------------------------------------------------------

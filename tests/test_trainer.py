@@ -1,50 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ebmkit import autodiff as ad
-from ebmkit.errors import (ConfigError, ContractError, TapeDepthError,
+from ebmkit.compose import SummedEnergy
+from ebmkit.errors import (ChainDivergedError, ConfigError, ContractError,
                            TrainingDivergedError)
-from ebmkit.model import EnergyNet, ModelConfig
+from ebmkit.model import ACTIVATIONS, EnergyNet, ModelConfig
 from ebmkit.sampler import LangevinConfig, ReplayBuffer
 from ebmkit.trainer import (AdamState, TrainConfig, adam_step,
-                            contrastive_loss, kl_finetune_loss,
-                            kl_finetune_step, train_step)
+                            contrastive_gradient, contrastive_loss,
+                            kl_finetune_loss, kl_finetune_step, train_step)
 
-from helpers import TapedQuadratic, ks_oracle, relative_error
-
-
-def leaf_pair(tape, pos, neg):
-    return tape.leaf(np.asarray(pos, dtype=np.float64)), \
-        tape.leaf(np.asarray(neg, dtype=np.float64))
+from helpers import (TapedQuadratic, central_diff, ks_oracle, relative_error,
+                     taped_contrastive_gradient, taped_kl_finetune_loss)
 
 
 class TestContrastiveLoss:
     def test_zero_energies_zero_loss(self):
-        with ad.Tape() as tape:
-            p, n = leaf_pair(tape, np.zeros(4), np.zeros(4))
-            assert contrastive_loss(p, n, 1.0).item() == 0.0
+        assert contrastive_loss(np.zeros(4), np.zeros(4), 1.0)[0] == 0.0
 
     def test_hand_arithmetic(self):
-        # 1*(1 + 4) + 1 - 2 = 4
-        with ad.Tape() as tape:
-            p, n = leaf_pair(tape, [1.0], [2.0])
-            assert contrastive_loss(p, n, 1.0).item() == pytest.approx(4.0)
+        # 1*(1 + 4) + 1 - 2 = 4; d/d e_pos = 2*1 + 1, d/d e_neg = 2*2 - 1
+        loss, d_pos, d_neg = contrastive_loss([1.0], [2.0], 1.0)
+        assert loss == pytest.approx(4.0)
+        assert d_pos[0] == pytest.approx(3.0) and d_neg[0] == pytest.approx(3.0)
 
     def test_alpha_zero_is_plain_gap(self):
         rng = np.random.default_rng(0)
         e_pos = rng.normal(size=8)
         e_neg = rng.normal(size=8)
-        with ad.Tape() as tape:
-            p, n = leaf_pair(tape, e_pos, e_neg)
-            loss = contrastive_loss(p, n, 0.0)
-        assert loss.item() == pytest.approx((e_pos - e_neg).mean())
+        loss = contrastive_loss(e_pos, e_neg, 0.0)[0]
+        assert loss == pytest.approx((e_pos - e_neg).mean())
 
     def test_batch_mismatch_rejected(self):
         from ebmkit.errors import DimensionError
-        with ad.Tape() as tape:
-            p, n = leaf_pair(tape, np.zeros(4), np.zeros(3))
-            with pytest.raises(DimensionError):
-                contrastive_loss(p, n, 1.0)
+        with pytest.raises(DimensionError):
+            contrastive_loss(np.zeros(4), np.zeros(3), 1.0)
 
 
 class TestAdamStep:
@@ -190,14 +182,10 @@ class TestTrainStep:
         n = 4000
         data = rng.normal(size=(n, 2))               # mu* = 0
         exact_neg = mu + rng.normal(size=(n, 2))     # exact sampler for p_theta
-        with ad.Tape() as tape:
-            params = model.lift_parameters(tape)
-            e_pos = model.taped_energy(ad.constant(data), params=params)
-            e_neg = model.taped_energy(ad.constant(exact_neg), params=params)
-            loss = contrastive_loss(e_pos, e_neg, 0.0)
-            (g_mu,) = ad.gradient(loss, [params[0]["mu"]])
+        _, _, _, grads = contrastive_gradient(model, data, exact_neg, 0.0)
+        g_mu = grads["mu"]
         se = np.sqrt(1.0 / n + 1.0 / n)
-        np.testing.assert_allclose(g_mu.data, mu, atol=3 * se + 0.01)
+        np.testing.assert_allclose(g_mu, mu, atol=3 * se + 0.01)
 
     def test_four_mode_mixture_training_closes_the_gap(self):
         """End-to-end training sanity on an easy 2D target: the mean
@@ -288,12 +276,27 @@ class TestKlFinetune:
                 flat_fd[i] = (hi - lo) / (2 * h)
             assert relative_error(grads[name], fd) < 1e-3, name
 
-    def test_chain_cap_enforced(self):
-        net, snap = self.quad_pair()
-        lang = LangevinConfig(steps=11, noise=0.0, grad_clip=10)
-        with pytest.raises(TapeDepthError):
-            kl_finetune_loss(net, snap, lang, np.random.default_rng(0),
-                             np.zeros((1, 1)))
+    def test_sixteen_step_chain_matches_tape_oracle(self):
+        net = tiny_net(seed=4, widths=(2, 6, 6, 1))
+        snap = tiny_net(seed=5, widths=(2, 6, 6, 1))
+        lang = LangevinConfig(steps=16, step_size=0.5, noise=0.01,
+                              grad_clip=0.5, clamp=(0.0, 1.0))
+        init = np.random.default_rng(6).uniform(size=(5, 2))
+        loss, grads = kl_finetune_loss(net, snap, lang,
+                                       np.random.default_rng(7), init)
+        ref_loss, ref = taped_kl_finetune_loss(net, snap, lang,
+                                               np.random.default_rng(7), init)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name, _ in net.parameters():
+            assert relative_error(grads[name], ref[name]) < 1e-10, name
+
+    def test_non_finite_chain_gradient_raises(self):
+        net = tiny_net(seed=8, widths=(2, 4, 1))
+        net.layers[0].w[0, 0] = np.nan
+        lang = LangevinConfig(steps=3, noise=0.0, grad_clip=10)
+        with pytest.raises(ChainDivergedError):
+            kl_finetune_loss(net, tiny_net(seed=9, widths=(2, 4, 1)), lang,
+                             np.random.default_rng(0), np.zeros((2, 2)))
 
     def test_eps_box_unsupported_on_tape(self):
         net, snap = self.quad_pair()
@@ -314,3 +317,142 @@ class TestKlFinetune:
         losses = [kl_finetune_step(net, snap, cfg, state, rng)
                   for _ in range(30)]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
+
+
+# -- closed-form parameter gradients against the tape and finite differences --
+
+GRADIENT_SETTINGS = settings(max_examples=12, deadline=None, database=None)
+
+model_shapes = dict(
+    widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    activation=st.sampled_from(ACTIVATIONS),
+    num_classes=st.sampled_from((0, 3)),
+    spectral=st.booleans(),
+    parts=st.sampled_from((0, 1, 2)),
+    seed=st.integers(0, 2 ** 16))
+
+
+def random_model(widths, activation, num_classes, spectral, parts, rng, rows):
+    """A small EnergyNet with random FiLM gains and biases when parts is
+    0 (with one label per row when conditional), else a SummedEnergy of
+    that many such nets, each under a fixed label. Returns (model,
+    labels)."""
+    cfg = ModelConfig(widths=(*widths, 1), activation=activation,
+                      num_classes=num_classes, spectral_norm=spectral)
+    nets = []
+    for _ in range(max(parts, 1)):
+        net = EnergyNet.init(cfg, rng)
+        for layer in net.layers:
+            if layer.gamma is not None:
+                layer.gamma = rng.normal(size=layer.gamma.shape)
+                layer.beta = rng.normal(size=layer.beta.shape)
+        nets.append(net)
+    if parts == 0:
+        labels = (None if num_classes == 0
+                  else rng.integers(0, num_classes, size=rows))
+        return nets[0], labels
+    fixed = [None if num_classes == 0 else int(rng.integers(num_classes))
+             for _ in nets]
+    return SummedEnergy(list(zip(nets, fixed))), None
+
+
+@GRADIENT_SETTINGS
+@given(alpha=st.floats(0.0, 2.0), **model_shapes)
+def test_contrastive_gradient_matches_tape_and_finite_differences(
+        widths, activation, num_classes, spectral, parts, seed, alpha):
+    rng = np.random.default_rng(seed)
+    rows = 3
+    model, labels = random_model(widths, activation, num_classes, spectral,
+                                 parts, rng, rows)
+    batch = rng.uniform(-1.0, 2.0, size=(rows, widths[0]))
+    x_neg = rng.uniform(-1.0, 2.0, size=(rows, widths[0]))
+    _, _, loss, grads = contrastive_gradient(model, batch, x_neg, alpha, labels)
+    ref_loss, ref = taped_contrastive_gradient(model, batch, x_neg, alpha,
+                                               labels)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-14)
+
+    for name, _ in model.parameters():
+        assert relative_error(grads[name], ref[name]) < 1e-10, name
+
+    def f(_):
+        return contrastive_loss(model.energy(batch, labels),
+                                model.energy(x_neg, labels), alpha)[0]
+
+    # finite differences of the smooth activation only: a leaky ReLU
+    # pre-activation can sit within one difference step of its kink
+    if activation == "swish":
+        for name, p in model.parameters():
+            assert relative_error(grads[name], central_diff(f, p)) < 1e-5, name
+
+    gx, _ = model.backward(batch, labels, r=np.ones(rows))
+    assert relative_error(gx, model.grad_x(batch, labels)) < 1e-12
+
+
+def chain_margin(model, lang, init, seed, labels):
+    """Smallest distance, along the chain, of a gradient component to the
+    clip bound and of a pre-clamp state to the clamp bounds: a finite
+    difference step smaller than this crosses no kink."""
+    rng = np.random.default_rng(seed)
+    x, margin = init.copy(), np.inf
+    for _ in range(lang.steps):
+        g = model.grad_x(x, labels)
+        margin = min(margin, np.min(np.abs(np.abs(g) - lang.grad_clip)))
+        new = x - lang.step_size * np.clip(g, -lang.grad_clip, lang.grad_clip)
+        if lang.noise > 0:
+            new = new + lang.noise * rng.normal(size=x.shape)
+        if lang.clamp is not None:
+            margin = min(margin, np.min(np.abs(new - lang.clamp[0])),
+                         np.min(np.abs(new - lang.clamp[1])))
+            new = np.clip(new, *lang.clamp)
+        if lang.mask is not None:
+            new = np.where(lang.mask, new, x)
+        x = new
+    return margin
+
+
+@GRADIENT_SETTINGS
+@given(steps=st.integers(0, 4), step_size=st.floats(0.05, 1.0),
+       noise=st.booleans(), binding_clip=st.booleans(), clamp=st.booleans(),
+       masked=st.booleans(), **model_shapes)
+def test_kl_finetune_gradient_matches_tape_and_finite_differences(
+        widths, activation, num_classes, spectral, parts, seed, steps,
+        step_size, noise, binding_clip, clamp, masked):
+    rng = np.random.default_rng(seed)
+    rows, d = 3, widths[0]
+    model, labels = random_model(widths, activation, num_classes, spectral,
+                                 parts, rng, rows)
+    snapshot = model.clone()
+    for _, p in snapshot.parameters():
+        p += 0.3 * rng.normal(size=p.shape)
+    init = rng.uniform(size=(rows, d))
+    # a binding clip sits just below the median gradient magnitude, so
+    # about half the components are clipped at the first step; not at the
+    # median itself, which is a component's magnitude and on the kink
+    clip = (0.9 * float(np.median(np.abs(model.grad_x(init, labels))))
+            if binding_clip else 1e3)
+    lang = LangevinConfig(steps=steps, step_size=step_size,
+                          noise=0.01 if noise else 0.0,
+                          grad_clip=max(clip, 1e-6),
+                          clamp=(0.0, 1.0) if clamp else None,
+                          mask=rng.random(d) < 0.5 if masked else None)
+    loss, grads = kl_finetune_loss(model, snapshot, lang,
+                                   np.random.default_rng(seed), init, labels)
+    ref_loss, ref = taped_kl_finetune_loss(model, snapshot, lang,
+                                           np.random.default_rng(seed), init,
+                                           labels)
+    assert loss == pytest.approx(ref_loss, rel=1e-10, abs=1e-12)
+    for name, _ in model.parameters():
+        assert relative_error(grads[name], ref[name]) < 1e-10, name
+
+    # finite differences only where no parameter step can cross a kink of
+    # the activation, the clip or the clamp; the tape covers the rest
+    if (activation != "swish"
+            or chain_margin(model, lang, init, seed, labels) < 1e-3):
+        return
+
+    def f(_):
+        return kl_finetune_loss(model, snapshot, lang,
+                                np.random.default_rng(seed), init, labels)[0]
+
+    for name, p in model.parameters():
+        assert relative_error(grads[name], central_diff(f, p)) < 1e-4, name
