@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import io
 import logging
 import math
@@ -844,7 +845,32 @@ def _check_flags(args):
             f"--quad-resolution must be a finite number > 0, got {resolution}")
 
 
+# glibc serves every allocation of 128 KiB or more with a fresh mmap and
+# unmaps it on free, so each temporary of a wide batch (512 rows x 64
+# units is 256 KiB) pays a page fault per 4 KiB page: about 305k faults
+# and 1.8 s instead of 1.2 s for one `attack --refine` on 512 rows (2-core
+# x86-64 VM). Fixed thresholds keep such arrays on the heap. Whether a
+# run was fast used to depend on what the process had freed before.
+MALLOC_MMAP_THRESHOLD = 32 * 2 ** 20    # bytes; glibc's upper limit
+MALLOC_TRIM_THRESHOLD = 64 * 2 ** 20    # bytes kept at the heap top
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc mallopt codes
+
+
+def _keep_large_arrays_on_heap():
+    """Set the C allocator's thresholds where it has mallopt (glibc); a
+    no-op elsewhere."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
+
+
 def main(argv=None):
+    _keep_large_arrays_on_heap()
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:

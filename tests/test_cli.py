@@ -8,6 +8,8 @@ checkpoints once and share them.
 """
 
 import os
+import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -19,7 +21,7 @@ import pytest
 
 import ebmkit
 from ebmkit.checkpoint import load_checkpoint
-from ebmkit.cli import main
+from ebmkit.cli import _keep_large_arrays_on_heap, main
 
 from helpers import (MALFORMED_MANIFESTS, save_stateful_checkpoint,
                      simpson_log_partition, with_manifest)
@@ -574,6 +576,24 @@ def test_bad_flag_reports_config_error(mixture_ckpt, cond_ckpt, workdir,
     assert err.startswith("error config:") and err.count("\n") == 1
     assert flag in err
     assert not out.exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's")
+def test_wide_temporaries_reuse_heap_pages():
+    """After the CLI's allocator set-up, bursts of 256 KiB temporaries
+    reuse resident heap pages. Without it glibc hands the freed burst
+    back to the kernel and faults it in again: about 24k faults over
+    these 50 bursts."""
+    def burst():
+        return [np.ones((512, 64)) for _ in range(8)]
+
+    _keep_large_arrays_on_heap()
+    burst()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        burst()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
 def test_cli_imports_every_module():
