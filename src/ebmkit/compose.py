@@ -65,14 +65,23 @@ class SummedEnergy:
             total = total + net.energy(x, self._labels_for(label, x.shape[0]))
         return total
 
-    def grad_x(self, x, labels=None):
+    def grad_x(self, x, labels=None, *, with_energy=False):
+        """Summed input gradient; with with_energy, (energy, gradient)
+        with the parts' energies summed in part order, as energy() does."""
         if labels is not None:
             raise LabelError("component labels are fixed at composition time")
         x = np.asarray(x, dtype=np.float64)
+        energy = np.zeros(x.shape[0])
         total = np.zeros_like(x)
         for net, label in self.parts:
-            total = total + net.grad_x(x, self._labels_for(label, x.shape[0]))
-        return total
+            part_labels = self._labels_for(label, x.shape[0])
+            if with_energy:
+                e, g = net.grad_x(x, part_labels, with_energy=True)
+                energy = energy + e
+            else:
+                g = net.grad_x(x, part_labels)
+            total = total + g
+        return (energy, total) if with_energy else total
 
     # -- trainable-model plumbing (EnergyNet components only) ----------------
 

@@ -6,8 +6,9 @@ dimensions 1-2 only), annealed importance sampling (stochastic lower
 bound in expectation), and its reverse-annealed counterpart (stochastic
 upper bound). [raise, ais] therefore brackets the true logZ, and the
 quadrature value should fall inside the bracket. Their MALA sweeps carry
-each chain's net energy and gradient along with its state, so one
-transition costs one energy and one grad_x call.
+each chain's net energy and gradient along with its state, and take both
+at a proposal from one grad_x(..., with_energy=True) pass, so one
+transition costs one grad_x call and no energy call.
 
 The remaining metrics are standard: Mann-Whitney AUROC, the Gaussian
 Frechet distance in Dowson-Landau closed form, a two-sample KS statistic,
@@ -126,8 +127,9 @@ class AISConfig:
             raise ConfigError("transitions must be >= 0")
         if self.base not in ("uniform", "gaussian"):
             raise ConfigError(f"base must be 'uniform' or 'gaussian', got {self.base!r}")
-        if not self.step_size > 0:
-            raise ConfigError("step_size must be > 0")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ConfigError(
+                f"step_size must be a finite number > 0, got {self.step_size}")
         if not self.drift_clip > 0:
             raise ConfigError("drift_clip must be > 0")
 
@@ -205,10 +207,11 @@ def _mala_sweep(net, base, beta, x, e, g, cfg, rng):
         mean_fwd = x + _tamed_drift(mix(base.grad(x), g), h, cfg.drift_clip)
         prop = mean_fwd + np.sqrt(h) * rng.normal(size=x.shape)
         ok = base.in_support(prop)
-        e_prop = net.energy(prop)
-        u_prop = np.where(ok, mix(base.energy(prop), e_prop), np.inf)
+        # rows outside the support are evaluated at x; their u_prop is
+        # inf, so they are never accepted
         at = np.where(ok[:, None], prop, x)
-        g_prop = net.grad_x(at)
+        e_prop, g_prop = net.grad_x(at, with_energy=True)
+        u_prop = np.where(ok, mix(base.energy(prop), e_prop), np.inf)
         mean_bwd = prop + _tamed_drift(mix(base.grad(at), g_prop), h, cfg.drift_clip)
         log_q_fwd = -np.sum((prop - mean_fwd) ** 2, axis=1) / (2.0 * h)
         log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h)
@@ -241,7 +244,7 @@ def ais_logZ(net, cfg, rng):
     betas = cfg.ladder()
     x = base.sample(cfg.chains, rng)
     logw = np.zeros(cfg.chains)
-    e, g = net.energy(x), net.grad_x(x)
+    e, g = net.grad_x(x, with_energy=True)
     for t in range(1, len(betas)):
         logw += (betas[t] - betas[t - 1]) * (base.energy(x) - e)
         x, e, g = _mala_sweep(net, base, betas[t], x, e, g, cfg, rng)
@@ -274,7 +277,7 @@ def raise_logZ(net, cfg, rng, samples):
     rows = rng.integers(0, samples.shape[0], size=cfg.chains)
     x = samples[rows]
     logw = np.zeros(cfg.chains)
-    e, g = net.energy(x), net.grad_x(x)
+    e, g = net.grad_x(x, with_energy=True)
     for t in range(len(betas) - 2, -1, -1):
         logw += (betas[t + 1] - betas[t]) * (e - base.energy(x))
         x, e, g = _mala_sweep(net, base, betas[t], x, e, g, cfg, rng)
@@ -407,22 +410,25 @@ def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
         raise ConfigError(f"norm must be 'linf' or 'l2', got {norm!r}")
     if step_size is None:
         step_size = eps / 4.0
+    n_classes = net.config.num_classes
+    if n_classes <= 0:
+        raise LabelError("pgd_attack needs a conditional model")
     x0 = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_true, dtype=np.intp)
-    n_classes = net.config.num_classes
     adv = x0.copy()
     for _ in range(int(steps)):
-        energies = class_energies(net, adv)
-        logits = -energies
+        # one pass per class gives both E_c and dE_c/dx at adv
+        passes = [net.grad_x(adv, np.full(adv.shape[0], c, dtype=np.intp),
+                             with_energy=True) for c in range(n_classes)]
+        logits = -np.stack([e for e, _ in passes], axis=1)
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits)
         probs /= probs.sum(axis=1, keepdims=True)
         # d CE / d x = sum_c (1[c=y] - p_c) * dE_c/dx
         grad = np.zeros_like(adv)
-        for c in range(n_classes):
+        for c, (_, g) in enumerate(passes):
             coeff = (y == c).astype(np.float64) - probs[:, c]
-            grad += coeff[:, None] * net.grad_x(
-                adv, labels=np.full(adv.shape[0], c, dtype=np.intp))
+            grad += coeff[:, None] * g
         if norm == "linf":
             adv = adv + step_size * np.sign(grad)
             adv = x0 + np.clip(adv - x0, -eps, eps)

@@ -5,15 +5,17 @@ EnergyNet maps each row of x to one real energy. Hidden layers are affine
 h <- gamma_y * h + beta_y) when the model is conditional; the final layer
 is a plain affine map of width 1. Besides the numpy energy it has a
 closed-form input gradient grad_x, whose hidden pass also yields each
-layer's activation derivative (one sigmoid per layer), and a closed-form
-reverse pass, backward, for parameter gradients. backward differentiates
+layer's activation derivative (one sigmoid per layer) and, on request,
+the energy itself: the last hidden state is already there, so the energy
+costs one more affine map and is bit-equal to energy(). A closed-form
+reverse pass, backward, gives parameter gradients. backward differentiates
 phi = sum_i r_i E(x_i) + sum_i c_i . grad_x E(x_i): a forward pass carries
 the tangent c, one reverse pass returns the x- and parameter gradients
-(Pearlmutter 1994, Fast Exact Multiplication by the Hessian). With c = 0
-that is the gradient of a loss on energies; with r = 0 it is the
-second-order product a differentiated Langevin chain needs. The taped
-energy (autodiff) computes the same quantities and serves as their
-reference in the tests.
+(Pearlmutter 1994, Fast Exact Multiplication by the Hessian). With c
+absent that is the gradient of a loss on energies, and no tangent is
+carried; with r = 0 it is the second-order product a differentiated
+Langevin chain needs. The taped energy (autodiff) computes the same
+quantities and serves as their reference in the tests.
 
 Spectral normalization divides each weight matrix by its estimated top
 singular value. The estimate comes from a stored left-vector u updated by
@@ -24,9 +26,12 @@ Parameter gradients go through W / sigma with u and v held fixed.
 
 Every energy model the toolkit consumes (EnergyNet, the summed
 composition, test stand-ins) follows one protocol: energy(x, labels) and
-grad_x(x, labels) on batches, plus a config with input_dim, num_classes
-and spectral_norm. Trainable models add parameters, backward, clone and,
-when spectral_norm is set, spectral_update.
+grad_x(x, labels, *, with_energy=False) on batches, plus a config with
+input_dim, num_classes and spectral_norm. grad_x with with_energy=True
+returns (energy, gradient) at the same points; callers that need both
+(the MALA sweeps, PGD, the fine-tuning loss) take them from that one
+call. Trainable models add parameters, backward, clone and, when
+spectral_norm is set, spectral_update.
 """
 
 from __future__ import annotations
@@ -281,20 +286,28 @@ class EnergyNet:
                 h = h * layer.gamma[labels] + layer.beta[labels]
         return h
 
+    def _head(self, h, w_effs):
+        """Energy per row from the last hidden state."""
+        return (h @ w_effs[-1] + self.layers[-1].b)[:, 0]
+
     def energy(self, x, labels=None):
         """Energy per batch row, shape (batch,)."""
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
         w_effs = [self._effective_weight(l) for l in self.layers]
-        return (self._hidden(x, labels, w_effs) @ w_effs[-1] + self.layers[-1].b)[:, 0]
+        return self._head(self._hidden(x, labels, w_effs), w_effs)
 
-    def grad_x(self, x, labels=None):
-        """d energy[i] / d x[i], shape (batch, d). Rows are independent."""
+    def grad_x(self, x, labels=None, *, with_energy=False):
+        """d energy[i] / d x[i], shape (batch, d). Rows are independent.
+
+        With with_energy, returns (energy, gradient); the energy comes from
+        the same hidden pass and is bit-equal to energy(x, labels).
+        """
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
         w_effs = [self._effective_weight(l) for l in self.layers]
         derivs = []
-        self._hidden(x, labels, w_effs, derivs)
+        h = self._hidden(x, labels, w_effs, derivs)
         g = np.repeat(w_effs[-1].T, x.shape[0], axis=0)
         for i in range(len(self.layers) - 2, -1, -1):
             layer = self.layers[i]
@@ -302,47 +315,56 @@ class EnergyNet:
                 g = g * layer.gamma[labels]
             g = g * derivs[i]
             g = g @ w_effs[i].T
+        if with_energy:
+            return self._head(h, w_effs), g
         return g
 
     def backward(self, x, labels=None, r=None, c=None):
         """Gradients of phi = sum_i r[i] E(x[i]) + sum_i c[i] . grad_x E(x[i]).
 
-        r has shape (batch,) and c the shape of x; None stands for zero.
+        r has shape (batch,) and c the shape of x; r None stands for zero.
         Returns (d phi / d x, {name: d phi / d parameter}) keyed like
-        parameters(). The forward pass carries the tangent dh = c along
-        the hidden states; one reverse pass then runs through both.
+        parameters(). When c is given, the forward pass carries the tangent
+        dh = c along the hidden states and one reverse pass runs through
+        both; when c is None, no tangent (and no second derivative) is
+        computed at all.
         """
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
         n = x.shape[0]
         r = np.zeros(n) if r is None else np.asarray(r, dtype=np.float64)
-        dh = np.zeros_like(x) if c is None else np.asarray(c, dtype=np.float64)
-        if r.shape != (n,) or dh.shape != x.shape:
+        dh = None if c is None else np.asarray(c, dtype=np.float64)
+        tangent = dh is not None
+        if r.shape != (n,) or (tangent and dh.shape != x.shape):
             raise DimensionError(
-                f"cotangents of shape {r.shape} and {dh.shape} do not match "
-                f"inputs of shape {x.shape}")
+                f"cotangents of shape {r.shape} and {np.shape(c)} do not "
+                f"match inputs of shape {x.shape}")
         kind = self.config.activation
         w_effs = [self._effective_weight(l) for l in self.layers]
         derivs, curvs, saved = [], [], []
         h = x
         for layer, w in zip(self.layers[:-1], w_effs):
-            a = _act(h @ w + layer.b, kind, derivs, curvs)
-            dz = dh @ w
-            da = derivs[-1] * dz
+            a = _act(h @ w + layer.b, kind, derivs, curvs if tangent else None)
+            dz = da = None
+            if tangent:
+                dz = dh @ w
+                da = derivs[-1] * dz
             saved.append((h, dh, a, dz, da))
             if layer.gamma is None:
                 h, dh = a, da
             else:
                 gain = layer.gamma[labels]
-                h, dh = a * gain + layer.beta[labels], da * gain
+                h = a * gain + layer.beta[labels]
+                dh = da * gain if tangent else None
 
         # hb and dhb are the adjoints of the hidden state and its tangent
         w = w_effs[-1]
         grads = [None] * len(self.layers)
-        grads[-1] = {"w": h.T @ r[:, None] + dh.sum(axis=0)[:, None],
-                     "b": r.sum(keepdims=True)}
+        grads[-1] = {"w": h.T @ r[:, None], "b": r.sum(keepdims=True)}
         hb = r[:, None] * w.T
-        dhb = np.broadcast_to(w.T, h.shape)
+        if tangent:
+            grads[-1]["w"] = grads[-1]["w"] + dh.sum(axis=0)[:, None]
+            dhb = np.broadcast_to(w.T, h.shape)
         if labels is not None:
             onehot = (labels[:, None] == np.arange(self.config.num_classes)
                       ).astype(np.float64)
@@ -351,15 +373,23 @@ class EnergyNet:
             h, dh, a, dz, da = saved[i]
             g = {}
             if layer.gamma is not None:
-                g["gamma"] = onehot.T @ (hb * a + dhb * da)
+                g["gamma"] = onehot.T @ (hb * a + dhb * da if tangent
+                                         else hb * a)
                 g["beta"] = onehot.T @ hb
                 gain = layer.gamma[labels]
-                hb, dhb = hb * gain, dhb * gain
-            dzb = dhb * derivs[i]
-            zb = hb * derivs[i] + dhb * dz * curvs[i]
-            g["w"] = h.T @ zb + dh.T @ dzb
+                hb = hb * gain
+                if tangent:
+                    dhb = dhb * gain
+            if tangent:
+                dzb = dhb * derivs[i]
+                zb = hb * derivs[i] + dhb * dz * curvs[i]
+                g["w"] = h.T @ zb + dh.T @ dzb
+                dhb = dzb @ w.T
+            else:
+                zb = hb * derivs[i]
+                g["w"] = h.T @ zb
             g["b"] = zb.sum(axis=0)
-            hb, dhb = zb @ w.T, dzb @ w.T
+            hb = zb @ w.T
             grads[i] = g
 
         for layer, w, g in zip(self.layers, w_effs, grads):

@@ -48,10 +48,12 @@ class LangevinConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
-        if not self.step_size > 0:
-            raise ConfigError("step_size must be > 0")
-        if self.noise < 0:
-            raise ConfigError("noise must be >= 0")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ConfigError(
+                f"step_size must be a finite number > 0, got {self.step_size}")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(
+                f"noise must be a finite number >= 0, got {self.noise}")
         if not self.grad_clip > 0:
             raise ConfigError("grad_clip must be > 0")
         if self.mask is not None:

@@ -15,8 +15,10 @@ kl_finetune_step differentiates through the sampler instead. Its loss is
 the frozen-snapshot energy of the chain's endpoint, pushing the sampler's
 output distribution toward the snapshot's low-energy regions (Du et al.
 2021, Improved Contrastive Divergence Training of EBMs). The chain runs
-in numpy and records each state; the reverse walk then takes, per step,
-one second-order product of the model through that step's grad_x.
+in numpy and records each state; the snapshot's energy and gradient at
+the endpoint come from one grad_x call, and the reverse walk then takes,
+per step, one second-order product of the model through that step's
+grad_x.
 """
 
 from __future__ import annotations
@@ -224,13 +226,14 @@ def kl_finetune_loss(net, snapshot, langevin, rng, init, labels=None):
         record.append((x, np.abs(g) < clip, passed))
         x = new
 
-    loss = float(np.mean(snapshot.energy(x, labels)))
+    e_snap, g_snap = snapshot.grad_x(x, labels, with_energy=True)
+    loss = float(np.mean(e_snap))
     if not np.isfinite(loss):
         raise TrainingDivergedError("fine-tuning loss is not finite")
     grads = {name: np.zeros_like(p) for name, p in net.parameters()}
     if not record:
         return loss, grads
-    a = snapshot.grad_x(x, labels) / x.shape[0]
+    a = g_snap / x.shape[0]
     for x_k, unclipped, passed in reversed(record):
         if passed is not None:
             a = a * passed

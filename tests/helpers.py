@@ -4,10 +4,11 @@ Everything here is deliberately independent of the package internals:
 finite differences and brute-force evaluation only, so tests compare the
 library against arithmetic a reviewer can redo by hand. Analytic energy
 models and malformed-checkpoint builders are shared here too, and so are
-the earlier forms of three kernels (the masked sigmoid with a two-sigmoid
+the earlier forms of four kernels (the masked sigmoid with a two-sigmoid
 input gradient, the MALA sweep that recomputes energies and gradients,
-and the quadrature that scores its whole grid in one energy call), kept
-as bit-exact oracles for their replacements. The taped (autodiff) forms
+the quadrature that scores its whole grid in one energy call, and the
+PGD attack that scores classes with separate energy calls), kept as
+bit-exact oracles for their replacements. The taped (autodiff) forms
 of the contrastive gradient and of the differentiated fine-tuning chain
 are the references for the closed-form reverse passes, and a composite
 Simpson rule on a fine grid is the reference for the quadrature.
@@ -90,9 +91,10 @@ class QuadraticEnergy:
         delta = np.asarray(x, dtype=np.float64) - self.mu
         return 0.5 * np.einsum("bi,ij,bj->b", delta, self.prec, delta)
 
-    def grad_x(self, x, labels=None):
+    def grad_x(self, x, labels=None, *, with_energy=False):
         delta = np.asarray(x, dtype=np.float64) - self.mu
-        return delta @ self.prec.T
+        g = delta @ self.prec.T
+        return (self.energy(x), g) if with_energy else g
 
     def log_partition(self):
         d = self.mu.size
@@ -130,14 +132,15 @@ class GaussianMixtureEnergy:
         m = logs.max(axis=1)
         return -(m + np.log(np.exp(logs - m[:, None]).sum(axis=1)))
 
-    def grad_x(self, x, labels=None):
+    def grad_x(self, x, labels=None, *, with_energy=False):
         x = np.asarray(x, dtype=np.float64)
         logs = self._component_logs(x)
         logs -= logs.max(axis=1, keepdims=True)
         r = np.exp(logs)
         r /= r.sum(axis=1, keepdims=True)
         pull = (x[:, None, :] - self.means[None, :, :]) / (self.sigmas ** 2)[None, :, None]
-        return (r[:, :, None] * pull).sum(axis=1)
+        g = (r[:, :, None] * pull).sum(axis=1)
+        return (self.energy(x), g) if with_energy else g
 
     def log_partition(self):
         return 0.0 if abs(self.weights.sum() - 1.0) < 1e-12 else np.log(self.weights.sum())
@@ -185,8 +188,9 @@ class TapedQuadratic:
         delta = np.asarray(x, dtype=np.float64) - self.mu
         return 0.5 * float(self.w) * (delta ** 2).sum(axis=1)
 
-    def grad_x(self, x, labels=None):
-        return float(self.w) * (np.asarray(x, dtype=np.float64) - self.mu)
+    def grad_x(self, x, labels=None, *, with_energy=False):
+        g = float(self.w) * (np.asarray(x, dtype=np.float64) - self.mu)
+        return (self.energy(x), g) if with_energy else g
 
     def backward(self, x, labels=None, r=None, c=None):
         """Gradients of phi = sum_i r_i E(x_i) + sum_i c_i . grad_x E(x_i)
@@ -413,9 +417,45 @@ class CallCounter:
         self.calls["energy"] += 1
         return self.net.energy(x, labels)
 
-    def grad_x(self, x, labels=None):
+    def grad_x(self, x, labels=None, *, with_energy=False):
         self.calls["grad_x"] += 1
-        return self.net.grad_x(x, labels)
+        return self.net.grad_x(x, labels, with_energy=with_energy)
+
+
+def pgd_attack_reference(net, x, y_true, eps, steps=20, step_size=None,
+                         norm="linf"):
+    """metrics.pgd_attack as it was before it took the class energies
+    from its gradient calls: every step scores all classes with
+    metrics.class_energies (K energy calls), then takes K grad_x calls at
+    the same point. Argument checks are left to the library."""
+    from ebmkit.metrics import class_energies
+
+    if step_size is None:
+        step_size = eps / 4.0
+    x0 = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y_true, dtype=np.intp)
+    adv = x0.copy()
+    for _ in range(int(steps)):
+        logits = -class_energies(net, adv)
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        grad = np.zeros_like(adv)
+        for c in range(net.config.num_classes):
+            coeff = (y == c).astype(np.float64) - probs[:, c]
+            grad += coeff[:, None] * net.grad_x(
+                adv, labels=np.full(adv.shape[0], c, dtype=np.intp))
+        if norm == "linf":
+            adv = adv + step_size * np.sign(grad)
+            adv = x0 + np.clip(adv - x0, -eps, eps)
+        else:
+            norms = np.linalg.norm(grad, axis=1, keepdims=True)
+            adv = adv + step_size * grad / np.maximum(norms, 1e-12)
+            delta = adv - x0
+            dn = np.linalg.norm(delta, axis=1, keepdims=True)
+            adv = x0 + delta * np.minimum(1.0, eps / np.maximum(dn, 1e-12))
+        adv = np.clip(adv, 0.0, 1.0)
+    return adv
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,8 @@ MISTYPED_YAML = {
     "list-model-section": "model: [1, 2]\n",
     "scalar-clamp": "langevin:\n  clamp: 1\n",
     "string-centers": "dataset:\n  kind: mixture\n  centers: abc\n",
+    "nan-noise": "langevin:\n  noise: .nan\n",
+    "inf-step-size": "langevin:\n  step_size: .inf\n",
 }
 
 
@@ -560,6 +563,17 @@ BAD_FLAGS = {
         "mixture", ["eval", "--metric", "logz-bracket",
                     "--quad-resolution", value], "--quad-resolution")
        for value in ("0", "-0.01", "nan", "inf")},
+    # non-finite chain and MALA values are rejected by the configs, whose
+    # messages name the field
+    **{f"sample-noise-{value}": ("mixture", ["sample", "--noise", value],
+                                 "noise")
+       for value in ("nan", "inf")},
+    "compose-noise-nan": ("mixture", ["compose", "--labels", "none",
+                                      "--noise", "nan"], "noise"),
+    "sample-step-size-inf": ("mixture", ["sample", "--step-size", "inf"],
+                             "step_size"),
+    "logz-mala-step-inf": ("mixture", ["eval", "--metric", "logz-bracket",
+                                       "--mala-step", "inf"], "step_size"),
 }
 
 
@@ -570,12 +584,15 @@ def test_bad_flag_reports_config_error(mixture_ckpt, cond_ckpt, workdir,
     ckpt = mixture_ckpt if which == "mixture" else cond_ckpt
     key = "--checkpoints" if argv[0] == "compose" else "--checkpoint"
     out = workdir / f"flag-{case}.csv"
-    code = main(argv[:1] + [key, str(ckpt), "--out", str(out)] + argv[1:])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv[:1] + [key, str(ckpt), "--out", str(out)] + argv[1:])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error config:") and err.count("\n") == 1
     assert flag in err
     assert not out.exists()
+    assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

@@ -13,7 +13,8 @@ from ebmkit.sampler import LangevinConfig, ReplayBuffer
 from ebmkit.trainer import AdamState, TrainConfig, train_step
 
 from helpers import (CallCounter, QuadraticEnergy, energy_config, ks_oracle,
-                     one_call_quadrature, recomputing_logZ)
+                     one_call_quadrature, pgd_attack_reference,
+                     recomputing_logZ)
 
 
 class FlatEnergy:
@@ -26,8 +27,9 @@ class FlatEnergy:
     def energy(self, x, labels=None):
         return np.full(np.asarray(x).shape[0], float(self.c))
 
-    def grad_x(self, x, labels=None):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
+    def grad_x(self, x, labels=None, *, with_energy=False):
+        g = np.zeros_like(np.asarray(x, dtype=np.float64))
+        return (self.energy(x), g) if with_energy else g
 
 
 class BottomlessEnergy:
@@ -38,8 +40,9 @@ class BottomlessEnergy:
     def energy(self, x, labels=None):
         return np.full(np.asarray(x).shape[0], np.inf)
 
-    def grad_x(self, x, labels=None):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
+    def grad_x(self, x, labels=None, *, with_energy=False):
+        g = np.zeros_like(np.asarray(x, dtype=np.float64))
+        return (self.energy(x), g) if with_energy else g
 
 
 class TwoCenterEnergy:
@@ -63,9 +66,10 @@ class TwoCenterEnergy:
         delta = x - self.centers[labels]
         return 0.5 * self.k * (delta ** 2).sum(axis=1) + self.offsets[labels]
 
-    def grad_x(self, x, labels=None):
+    def grad_x(self, x, labels=None, *, with_energy=False):
         x = np.asarray(x, dtype=np.float64)
-        return self.k * (x - self.centers[labels])
+        g = self.k * (x - self.centers[labels])
+        return (self.energy(x, labels), g) if with_energy else g
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +151,9 @@ def test_ais_config_validation():
         AISConfig(base="cauchy")
     with pytest.raises(ConfigError):
         AISConfig(step_size=0.0)
+    for value in (np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            AISConfig(step_size=value)
 
 
 def test_ais_target_equals_base_exact_zero():
@@ -274,9 +281,10 @@ def test_estimates_match_recomputing_sweep_bit_for_bit(base):
 
 @pytest.mark.parametrize("temps,transitions", [(12, 2), (5, 1), (4, 0), (1, 3)])
 def test_estimators_call_energy_and_grad_once_per_transition(temps, transitions):
+    """Energy and gradient come from one grad_x call per transition (and
+    one for the initial state); energy is never called on its own."""
     cfg = AISConfig(chains=8, temps=temps, transitions=transitions)
-    expected = {"energy": 1 + (temps - 1) * transitions,
-                "grad_x": 1 + (temps - 1) * transitions}
+    expected = {"energy": 0, "grad_x": 1 + (temps - 1) * transitions}
     counted = CallCounter(_spectral_net())
     ais_logZ(counted, cfg, np.random.default_rng(0))
     assert counted.calls == expected
@@ -550,6 +558,39 @@ def test_pgd_validates_arguments():
         pgd_attack(net, np.zeros((1, 2)), np.array([0]), eps=0.1, norm="l1")
     with pytest.raises(ConfigError):
         pgd_attack(net, np.zeros((1, 2)), np.array([0]), eps=0.1, steps=-1)
+    plain = EnergyNet.init(ModelConfig(widths=(2, 4, 1)),
+                           np.random.default_rng(0))
+    with pytest.raises(LabelError):
+        pgd_attack(plain, np.zeros((1, 2)), np.array([0]), eps=0.1, steps=0)
+
+
+def _film_net(num_classes, seed):
+    """Spectral conditional net with random class gains and biases."""
+    rng = np.random.default_rng(seed)
+    net = EnergyNet.init(ModelConfig(widths=(2, 16, 16, 1),
+                                     num_classes=num_classes), rng)
+    for layer in net.layers[:-1]:
+        layer.gamma = rng.normal(size=layer.gamma.shape)
+        layer.beta = rng.normal(size=layer.beta.shape)
+    return net
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_pgd_matches_separate_energy_pass_bit_for_bit(norm, num_classes):
+    """Taking the class energies from the gradient calls changes the
+    call count, not a bit of the attacked points: K grad_x calls per
+    step and no energy call."""
+    steps = 5
+    net = _film_net(num_classes, seed=50 + num_classes)
+    rng = np.random.default_rng(51)
+    x = rng.uniform(size=(37, 2))
+    y = rng.integers(0, num_classes, size=37)
+    counted = CallCounter(net)
+    adv = pgd_attack(counted, x, y, eps=0.1, steps=steps, norm=norm)
+    assert np.array_equal(adv, pgd_attack_reference(net, x, y, eps=0.1,
+                                                    steps=steps, norm=norm))
+    assert counted.calls == {"energy": 0, "grad_x": steps * num_classes}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebmkit import autodiff as ad
+from ebmkit.compose import SummedEnergy
 from ebmkit.errors import ConfigError, DimensionError, LabelError
 from ebmkit.model import (ACTIVATIONS, EnergyNet, Layer, ModelConfig,
                           activation_slope_bound)
@@ -325,3 +326,36 @@ def test_head_forward_matches_taped_forward(widths, activation, spectral, seed):
         taped = net.taped_energy(x)
     np.testing.assert_allclose(taped.data, net.energy(x), rtol=1e-10,
                                atol=1e-12)
+
+
+@CORE_SETTINGS
+@given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       activation=st.sampled_from(ACTIVATIONS),
+       num_classes=st.sampled_from((0, 3)),
+       spectral=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_fused_energy_is_bit_equal(widths, activation, num_classes, spectral,
+                                   seed):
+    """grad_x(..., with_energy=True) returns energy() and grad_x() bit for
+    bit, for one net and for a 2-part SummedEnergy of such nets."""
+    rng = np.random.default_rng(seed)
+    nets = [small_net(widths=(*widths, 1), activation=activation,
+                      num_classes=num_classes, spectral=spectral,
+                      seed=seed + k) for k in range(2)]
+    for net in nets:
+        for layer in net.layers:
+            if layer.gamma is not None:
+                layer.gamma = rng.normal(size=layer.gamma.shape)
+                layer.beta = rng.normal(size=layer.beta.shape)
+    x = rng.uniform(-1.0, 2.0, size=(6, widths[0]))
+    labels = None if num_classes == 0 else rng.integers(0, num_classes, size=6)
+    e, g = nets[0].grad_x(x, labels, with_energy=True)
+    assert (e == nets[0].energy(x, labels)).all()
+    assert (g == nets[0].grad_x(x, labels)).all()
+
+    parts = [None if num_classes == 0 else int(rng.integers(num_classes))
+             for _ in nets]
+    summed = SummedEnergy(list(zip(nets, parts)))
+    e, g = summed.grad_x(x, with_energy=True)
+    assert (e == summed.energy(x)).all()
+    assert (g == summed.grad_x(x)).all()

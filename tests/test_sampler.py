@@ -45,6 +45,9 @@ class TestLangevinConfig:
         {"noise": -0.1},
         {"grad_clip": 0.0},
         {"eps_box": 0.0},
+        {"step_size": np.inf},
+        {"noise": np.nan},
+        {"noise": np.inf},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
