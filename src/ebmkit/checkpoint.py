@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, checked
 from .model import EnergyNet, Layer, ModelConfig, layer_shapes
 from .sampler import ReplayBuffer
 from .trainer import AdamState
@@ -150,42 +150,22 @@ def _malformed(what):
     return ContractError(f"malformed checkpoint manifest: {what}")
 
 
-def _typed(section, key, kinds):
-    """section[key], which must be exactly of one of the given JSON types
-    (bool is not an int here, and an integer field rejects 1.0)."""
-    value = section[key]
-    if type(value) not in kinds:
-        raise _malformed(f"{key} must be {' or '.join(k.__name__ for k in kinds)}, "
-                         f"got {value!r}")
-    return value
-
-
 def _parse_manifest(manifest):
     """(ModelConfig, Adam step or None, buffer facts or None) from a
     decoded manifest; a missing, mistyped or inconsistent entry is a
     ContractError. Counts and extents must be JSON integers."""
     try:
-        model = dict(manifest["model"])
-        widths = _typed(model, "widths", (list,))
-        if not all(type(w) is int for w in widths):
-            raise _malformed(f"widths must be integers, got {widths!r}")
-        model["widths"] = tuple(widths)
-        for key, kinds in (("num_classes", (int,)), ("power_iters", (int,)),
-                           ("spectral_norm", (bool,))):
-            if key in model:
-                _typed(model, key, kinds)
-        config = ModelConfig(**model)
+        config = ModelConfig(**manifest["model"])
         adam = manifest.get("adam")
-        adam_t = None if adam is None else _typed(adam, "t", (int,))
+        adam_t = (None if adam is None
+                  else checked("adam step", adam["t"], int, ge=0))
         binfo = manifest.get("buffer")
         if binfo is not None:
-            binfo = {k: _typed(binfo, k, kinds) for k, kinds in (
-                ("count", (int,)), ("dim", (int,)), ("capacity", (int,)),
-                ("labeled", (bool,)), ("uniform_prob", (float, int)))}
+            binfo = {k: checked(k, binfo[k], kind) for k, kind in (
+                ("count", int), ("dim", int), ("capacity", int),
+                ("labeled", bool), ("uniform_prob", float))}
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise _malformed(f"{type(exc).__name__} {exc}") from exc
-    if adam_t is not None and adam_t < 0:
-        raise _malformed(f"adam step {adam_t} is negative")
     if binfo is not None:
         if not 0 <= binfo["count"] <= binfo["capacity"]:
             raise _malformed(f"buffer count {binfo['count']} outside "

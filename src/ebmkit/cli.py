@@ -7,8 +7,11 @@ key has a documented default below and unknown keys are rejected. All
 randomness derives from --seed, so identical invocations produce
 identical output bytes. Outputs are CSV reports, sample matrices
 (one row per sample, %.17g), or PGM image grids, written atomically.
-Errors exit nonzero with a single line "error <category>: <message>" on
-stderr. Set EBMKIT_LOG=INFO or DEBUG for progress logging.
+Every error, a bad or missing flag included, exits 1 with a single line
+"error <category>: <message>" on stderr. Each numeric flag and config
+value is checked against the one domain of the field it feeds, as it is
+parsed or when its config is built. Set EBMKIT_LOG=INFO or DEBUG for
+progress logging.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import yaml
@@ -29,7 +33,7 @@ from .checkpoint import (load_checkpoint, save_checkpoint, write_text_atomic)
 from .compose import finetune_combination, joint_sample
 from .datagen import (gaussian_mixture, mini_sprites, ring2d, split_tasks,
                       trajectory_sim)
-from .errors import ConfigError, ContractError, EbmError
+from .errors import ConfigError, ContractError, DataError, EbmError, checked
 from .metrics import (AISConfig, ais_logZ, auroc, class_energies,
                       energy_classify, frechet_gaussian, ks_statistic,
                       log_partition_quadrature, metric_csv_row,
@@ -188,43 +192,13 @@ def load_run_config(path, require=()):
     return out
 
 
-@_values_of("model")
-def _model_config(sec):
-    return ModelConfig(widths=tuple(int(w) for w in sec["widths"]),
-                       activation=str(sec["activation"]),
-                       num_classes=int(sec["num_classes"]),
-                       spectral_norm=bool(sec["spectral_norm"]),
-                       power_iters=int(sec["power_iters"]))
-
-
-@_values_of("langevin")
-def _langevin_config(sec):
-    clamp = sec["clamp"]
-    if clamp is not None:
-        lo, hi = clamp
-        clamp = (float(lo), float(hi))
-    return LangevinConfig(steps=int(sec["steps"]),
-                          step_size=float(sec["step_size"]),
-                          noise=float(sec["noise"]),
-                          grad_clip=float(sec["grad_clip"]),
-                          clamp=clamp)
-
-
-@_values_of("train")
-def _train_config(sec, langevin):
-    return TrainConfig(alpha=float(sec["alpha"]), lr=float(sec["lr"]),
-                       beta1=float(sec["beta1"]), beta2=float(sec["beta2"]),
-                       adam_eps=float(sec["adam_eps"]),
-                       batch_size=int(sec["batch_size"]),
-                       clip_sigmas=float(sec["clip_sigmas"]),
-                       total_steps=int(sec["total_steps"]),
-                       langevin=langevin)
-
-
-@_values_of("train")
-def _replay_buffer(sec):
-    return ReplayBuffer(capacity=int(sec["buffer_capacity"]),
-                        uniform_prob=float(sec["uniform_prob"]))
+def _training(cfg):
+    """The TrainConfig of a run config, and the arguments of its replay
+    buffers, whose two keys share the train section."""
+    sec = dict(cfg["train"])
+    buffer_args = (sec.pop("buffer_capacity"), sec.pop("uniform_prob"))
+    return (TrainConfig(**sec, langevin=LangevinConfig(**cfg["langevin"])),
+            buffer_args)
 
 
 def _rngs(seed):
@@ -327,9 +301,15 @@ def _matrix_text(x):
 
 def _read_matrix(path):
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data; it is rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            x = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ContractError(f"cannot parse matrix file {path}: {exc}") from exc
+    if x.size == 0:
+        raise ContractError(f"matrix file {path} holds no numbers")
+    return x
 
 
 def _pgm_grid_text(samples):
@@ -362,8 +342,8 @@ def _write_samples(path, samples, fmt):
 
 def cmd_train(args):
     cfg = load_run_config(args.config, require=("dataset",))
-    model_cfg = _model_config(cfg["model"])
-    train_cfg = _train_config(cfg["train"], _langevin_config(cfg["langevin"]))
+    model_cfg = ModelConfig(**cfg["model"])
+    train_cfg, buffer_args = _training(cfg)
     data_rng, init_rng, work_rng = _rngs(args.seed)
     data = _build_dataset(cfg["dataset"], data_rng)
     x, y = data["train"]
@@ -372,7 +352,7 @@ def cmd_train(args):
     use_labels = model_cfg.num_classes > 0
 
     net = EnergyNet.init(model_cfg, init_rng)
-    buffer = _replay_buffer(cfg["train"])
+    buffer = ReplayBuffer(*buffer_args)
     state = AdamState.for_parameters(net.parameters())
     rows = []
     for step in range(train_cfg.total_steps):
@@ -460,19 +440,14 @@ def cmd_compose(args):
         cfg = load_run_config(args.finetune_config)["finetune"]
         with _values_of("finetune"):
             combos = [tuple(c) for c in cfg["combos"]]
-            chain = cfg["chain"]
-            lcfg = LangevinConfig(steps=int(chain["steps"]),
-                                  step_size=float(chain["step_size"]),
-                                  noise=float(chain["noise"]),
-                                  grad_clip=float(chain["grad_clip"]),
-                                  clamp=(0.0, 1.0))
-            tcfg = TrainConfig(lr=float(cfg["lr"]),
-                               batch_size=int(cfg["batch_size"]), langevin=lcfg)
-            epochs = int(cfg["epochs"])
         if not combos:
             raise ConfigError("finetune.combos must list at least one "
                               "label combination")
-        nets = finetune_combination(nets, combos, tcfg, rng, epochs=epochs)
+        tcfg = TrainConfig(lr=cfg["lr"], batch_size=cfg["batch_size"],
+                           langevin=LangevinConfig(**cfg["chain"],
+                                                   clamp=(0.0, 1.0)))
+        nets = finetune_combination(nets, combos, tcfg, rng,
+                                    epochs=cfg["epochs"])
     samples = joint_sample(list(zip(nets, labels)), _flag_langevin(args),
                            rng, n=args.n)
     _write_samples(args.out, samples, args.format)
@@ -630,18 +605,22 @@ def cmd_continual(args):
     model_sec = dict(cfg["model"])
     if model_sec["num_classes"] == 0:
         model_sec["num_classes"] = k
-    model_cfg = _model_config(model_sec)
+    model_cfg = ModelConfig(**model_sec)
     if model_cfg.num_classes != k:
         raise ConfigError(
             f"model.num_classes ({model_cfg.num_classes}) does not match "
             f"the {k} continual classes")
     if model_cfg.input_dim != centers.shape[1]:
         raise ConfigError("model input width does not match center dimension")
-    train_cfg = _train_config(cfg["train"], _langevin_config(cfg["langevin"]))
+    train_cfg, buffer_args = _training(cfg)
     data_rng, init_rng, work_rng = _rngs(args.seed)
     x, y = gaussian_mixture(centers, sigma, n, data_rng)
     x_test, y_test = gaussian_mixture(centers, sigma, n_test, data_rng)
     tasks = split_tasks(x, y, pairs)
+    for task_id, _, y_task in tasks:
+        if not np.isin(y_test, y_task).any():
+            raise DataError(f"no test point of task {task_id}; "
+                            "raise continual.n_test")
 
     net = EnergyNet.init(model_cfg, init_rng)
     rows = []
@@ -649,7 +628,7 @@ def cmd_continual(args):
     for task_id, x_task, y_task in tasks:
         # fresh buffer and optimizer per task: the model alone carries
         # knowledge across tasks
-        buffer = _replay_buffer(cfg["train"])
+        buffer = ReplayBuffer(*buffer_args)
         state = AdamState.for_parameters(net.parameters())
         for _ in range(steps_per_task):
             idx = work_rng.integers(0, x_task.shape[0],
@@ -682,16 +661,11 @@ def cmd_attack(args):
     n = min(args.n, x_test.shape[0])
     x_test, y_test = x_test[:n], y_test[:n]
     rng = np.random.default_rng(args.seed)
-
-    try:
-        eps_values = [float(tok) for tok in args.eps.split(",") if tok]
-    except ValueError:
-        raise ConfigError(f"--eps takes comma-separated numbers, "
-                          f"got {args.eps!r}") from None
+    refine_cfg = LangevinConfig(steps=args.refine_steps, clamp=(0.0, 1.0))
     header = "eps,accuracy" + (",accuracy_refined" if args.refine else "")
     rows = []
     clean = float(np.mean(energy_classify(net, x_test) == y_test))
-    for eps in eps_values:
+    for eps in args.eps:
         if eps == 0.0:
             acc, acc_ref = clean, clean
         else:
@@ -699,9 +673,7 @@ def cmd_attack(args):
                              norm=args.norm)
             acc = float(np.mean(energy_classify(net, adv) == y_test))
             if args.refine:
-                cfg = LangevinConfig(steps=args.refine_steps,
-                                     clamp=(0.0, 1.0))
-                pred = refined_classify(net, adv, eps, cfg, rng)
+                pred = refined_classify(net, adv, eps, refine_cfg, rng)
                 acc_ref = float(np.mean(pred == y_test))
         row = f"{eps:.10g},{acc:.10g}"
         if args.refine:
@@ -714,18 +686,55 @@ def cmd_attack(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad, missing or unknown flag as a ConfigError, so that it
+    ends in the one-line error report like every other bad input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _flag(name, kind, **bounds):
+    """argparse type of a numeric flag: its text as kind within bounds.
+    name is the config field the flag feeds, or the flag's own name.
+    Text that int() cannot read is argparse's "invalid int value"."""
+    def parse(text):
+        try:
+            return checked(name, int(text) if kind is int else text, kind,
+                           **bounds)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_SEED = _flag("seed", int, ge=0)
+_COUNT = _flag("n", int, ge=1)
+_LABEL = _flag("label", int)
+_STEPS = _flag("steps", int, ge=0)
+_EPS = _flag("eps", float, ge=0)
+
+
+def _radii(text):
+    """--eps: comma-separated radii; a 0 row reports clean accuracy."""
+    return [_EPS(tok) for tok in text.split(",") if tok]
+
+
 def _add_sampling_flags(p, default_steps=60):
-    p.add_argument("--steps", type=int, default=default_steps)
-    p.add_argument("--step-size", type=float, default=10.0)
-    p.add_argument("--noise", type=float, default=0.005)
-    p.add_argument("--grad-clip", type=float, default=0.01)
+    p.add_argument("--steps", type=_STEPS, default=default_steps)
+    p.add_argument("--step-size", type=_flag("step_size", float, gt=0),
+                   default=10.0)
+    p.add_argument("--noise", type=_flag("noise", float, ge=0), default=0.005)
+    p.add_argument("--grad-clip", type=_flag("grad_clip", float, gt=0),
+                   default=0.01)
     p.add_argument("--no-clamp", action="store_true",
                    help="disable the unit-cube projection")
     p.add_argument("--format", choices=("csv", "pgm"), default="csv")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ebmkit",
         description="Train, sample, compose, and evaluate energy models.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -733,18 +742,18 @@ def build_parser():
     p = sub.add_parser("train", help="contrastively train an energy model")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--metrics-out", default=None,
                    help="per-step CSV (default: <out>.metrics.csv)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="draw samples from a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_COUNT, default=64)
     p.add_argument("--out", required=True)
-    p.add_argument("--label", type=int, default=None)
+    p.add_argument("--label", type=_LABEL, default=None)
     p.add_argument("--init-file", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     _add_sampling_flags(p)
     p.set_defaults(func=cmd_sample)
 
@@ -754,8 +763,8 @@ def build_parser():
     p.add_argument("--mask", required=True,
                    help="CSV row; nonzero marks components to resample")
     p.add_argument("--out", required=True)
-    p.add_argument("--label", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--label", type=_LABEL, default=None)
+    p.add_argument("--seed", type=_SEED, default=0)
     _add_sampling_flags(p)
     p.set_defaults(func=cmd_inpaint)
 
@@ -765,9 +774,9 @@ def build_parser():
     p.add_argument("--labels", nargs="+", required=True,
                    help="one per checkpoint; 'none' for unconditional")
     p.add_argument("--finetune-config", default=None)
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_COUNT, default=64)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     _add_sampling_flags(p, default_steps=150)
     p.set_defaults(func=cmd_compose)
 
@@ -775,21 +784,24 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--metric", choices=sorted(_EVALUATORS), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chains", type=int, default=64)
-    p.add_argument("--temps", type=int, default=100)
-    p.add_argument("--transitions", type=int, default=2)
-    p.add_argument("--mala-step", type=float, default=0.01)
-    p.add_argument("--quad-resolution", type=float, default=None)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--chains", type=_flag("chains", int, ge=1), default=64)
+    p.add_argument("--temps", type=_flag("temps", int, ge=1), default=100)
+    p.add_argument("--transitions", type=_flag("transitions", int, ge=0),
+                   default=2)
+    p.add_argument("--mala-step", type=_flag("step_size", float, gt=0),
+                   default=0.01)
+    p.add_argument("--quad-resolution",
+                   type=_flag("quad_resolution", float, gt=0), default=None)
     p.add_argument("--data-file", default=None,
                    help="exact samples for the reverse estimator")
     p.add_argument("--inliers", default=None)
     p.add_argument("--outliers", default=None)
-    p.add_argument("--radius", type=float, default=0.1)
-    p.add_argument("--horizon", type=int, default=50)
-    p.add_argument("--steps", type=int, default=40,
+    p.add_argument("--radius", type=_flag("radius", float, gt=0), default=0.1)
+    p.add_argument("--horizon", type=_flag("horizon", int, ge=1), default=50)
+    p.add_argument("--steps", type=_STEPS, default=40,
                    help="chain length for rollout transitions")
-    p.add_argument("--n", type=int, default=1024,
+    p.add_argument("--n", type=_COUNT, default=1024,
                    help="buffer tail size for mode-coverage")
     p.set_defaults(func=cmd_eval)
 
@@ -797,22 +809,22 @@ def build_parser():
                        help="train sequentially over disjoint class pairs")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_continual)
 
     p = sub.add_parser("attack",
                        help="robust-accuracy curve under PGD, optionally "
                             "with bounded-refinement recovery")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--eps", default="0.05,0.1,0.2,0.3",
+    p.add_argument("--eps", type=_radii, default="0.05,0.1,0.2,0.3",
                    help="comma-separated radii; 0 rows report clean accuracy")
     p.add_argument("--norm", choices=("linf", "l2"), default="linf")
     p.add_argument("--refine", action="store_true")
-    p.add_argument("--refine-steps", type=int, default=30)
-    p.add_argument("--steps", type=int, default=20, help="PGD iterations")
-    p.add_argument("--n", type=int, default=256)
+    p.add_argument("--refine-steps", type=_STEPS, default=30)
+    p.add_argument("--steps", type=_STEPS, default=20, help="PGD iterations")
+    p.add_argument("--n", type=_COUNT, default=256)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_attack)
 
     return parser
@@ -823,26 +835,6 @@ def _setup_logging():
     logging.basicConfig(stream=sys.stderr,
                         level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(message)s")
-
-
-def _check_flags(args):
-    """argparse checks only that these flags are numbers."""
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    for flag in ("n", "horizon"):
-        value = vars(args).get(flag)
-        if value is not None and value < 1:
-            raise ConfigError(f"--{flag} must be >= 1, got {value}")
-    for flag in ("steps", "refine_steps"):
-        value = vars(args).get(flag)
-        if value is not None and value < 0:
-            raise ConfigError(
-                f"--{flag.replace('_', '-')} must be >= 0, got {value}")
-    resolution = vars(args).get("quad_resolution")
-    if resolution is not None and not (np.isfinite(resolution)
-                                       and resolution > 0):
-        raise ConfigError(
-            f"--quad-resolution must be a finite number > 0, got {resolution}")
 
 
 # glibc serves every allocation of 128 KiB or more with a fresh mmap and
@@ -872,9 +864,8 @@ def _keep_large_arrays_on_heap():
 def main(argv=None):
     _keep_large_arrays_on_heap()
     _setup_logging()
-    args = build_parser().parse_args(argv)
     try:
-        _check_flags(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except EbmError as exc:
         print(f"error {exc.category}: {' '.join(str(exc).split())}",

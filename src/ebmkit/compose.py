@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, LabelError
+from .errors import ConfigError, DimensionError, LabelError, checked
 from .sampler import run_chain
 from .trainer import AdamState, kl_finetune_step
 
@@ -140,8 +140,7 @@ def finetune_combination(models, observed_labels, cfg, rng, epochs=1):
     cfg.langevin chain (see kl_finetune_loss). Returns the list of
     adjusted component nets (zero epochs returns unchanged copies).
     """
-    if epochs < 0:
-        raise ConfigError("epochs must be >= 0")
+    epochs = checked("epochs", epochs, int, ge=0)
     tuned = [net.clone() for net in models]
     for combo in observed_labels:
         if len(combo) != len(models):

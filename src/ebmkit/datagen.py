@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, LabelError
+from .errors import DataError, LabelError, checked
 
 CANVAS = 16
 MIN_SPRITE_SCALE = 3 / CANVAS
@@ -32,10 +32,10 @@ def gaussian_mixture(centers, sigma, n, rng):
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise DataError("centers must be a nonempty (k, d) array")
-    if sigma < 0.0:
-        raise DataError("sigma must be nonnegative")
+    sigma = checked("sigma", sigma, float, DataError, ge=0)
     margin = 3.0 * sigma
-    if np.any(centers - margin <= 0.0) or np.any(centers + margin >= 1.0):
+    # written so that a nan center fails too
+    if not (np.all(centers - margin > 0.0) and np.all(centers + margin < 1.0)):
         raise DataError("every center needs a 3-sigma margin inside (0,1)^d")
     labels = rng.integers(0, centers.shape[0], size=n)
     samples = centers[labels] + sigma * rng.normal(size=(n, centers.shape[1]))
@@ -44,8 +44,8 @@ def gaussian_mixture(centers, sigma, n, rng):
 
 def ring2d(radius, thickness, n, rng):
     """Uniform-angle ring around (0.5, 0.5) with radial Gaussian spread."""
-    if radius <= 0.0 or thickness < 0.0:
-        raise DataError("radius must be positive and thickness nonnegative")
+    radius = checked("radius", radius, float, DataError, gt=0)
+    thickness = checked("thickness", thickness, float, DataError, ge=0)
     if radius + 3.0 * thickness > 0.5:
         raise DataError("ring does not fit inside the unit square")
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -92,8 +92,7 @@ def mini_sprites(shapes, xs, ys, scales, n_per_combo=1, noise=0.0, rng=None):
     """
     if n_per_combo < 1:
         raise DataError("n_per_combo must be at least 1")
-    if noise < 0.0:
-        raise DataError("noise must be nonnegative")
+    noise = checked("noise", noise, float, DataError, ge=0)
     if noise > 0.0 and rng is None:
         raise DataError("pixel noise needs an rng")
     for shape in shapes:
@@ -101,10 +100,11 @@ def mini_sprites(shapes, xs, ys, scales, n_per_combo=1, noise=0.0, rng=None):
             raise DataError(f"unknown shape {shape!r}")
     combos = list(itertools.product(shapes, xs, ys, scales))
     for shape, x, y, scale in combos:
-        if scale < MIN_SPRITE_SCALE or scale > 1.0:
+        if not MIN_SPRITE_SCALE <= scale <= 1.0:
             raise DataError("scale must lie in [3/16, 1]")
         half = scale / 2.0
-        if x - half < 0.0 or x + half > 1.0 or y - half < 0.0 or y + half > 1.0:
+        if not (0.0 <= x - half and x + half <= 1.0
+                and 0.0 <= y - half and y + half <= 1.0):
             raise DataError("sprite extends outside the canvas")
 
     count = len(combos) * n_per_combo

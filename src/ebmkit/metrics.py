@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateEstimateError,
-                     DimensionError, LabelError)
+                     DimensionError, LabelError, checked)
 from .sampler import refine_bounded
 
 __all__ = [
@@ -72,10 +72,9 @@ def log_partition_quadrature(net, bounds, resolution):
         raise DimensionError(f"{d} bounds for a {model_dim}-dimensional model")
     if d > 2:
         raise DimensionError(f"quadrature supports 1 or 2 dimensions, got {d}")
-    if np.any(bounds[:, 1] <= bounds[:, 0]):
+    if not np.all(bounds[:, 0] < bounds[:, 1]):
         raise ConfigError("each bound needs lo < hi")
-    if not resolution > 0:
-        raise ConfigError("resolution must be > 0")
+    resolution = checked("resolution", resolution, float, gt=0)
 
     axes = []
     for lo, hi in bounds:
@@ -119,19 +118,13 @@ class AISConfig:
     drift_clip: float = 2.0
 
     def __post_init__(self):
-        if self.chains < 1:
-            raise ConfigError("chains must be >= 1")
-        if self.temps < 1:
-            raise ConfigError("temps must be >= 1")
-        if self.transitions < 0:
-            raise ConfigError("transitions must be >= 0")
+        self.chains = checked("chains", self.chains, int, ge=1)
+        self.temps = checked("temps", self.temps, int, ge=1)
+        self.transitions = checked("transitions", self.transitions, int, ge=0)
         if self.base not in ("uniform", "gaussian"):
             raise ConfigError(f"base must be 'uniform' or 'gaussian', got {self.base!r}")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise ConfigError(
-                f"step_size must be a finite number > 0, got {self.step_size}")
-        if not self.drift_clip > 0:
-            raise ConfigError("drift_clip must be > 0")
+        self.step_size = checked("step_size", self.step_size, float, gt=0)
+        self.drift_clip = checked("drift_clip", self.drift_clip, float, gt=0)
 
     def ladder(self):
         if self.temps == 1:
@@ -402,10 +395,8 @@ def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
     at x itself (no random restart). Every step is projected back to the
     eps-ball around the input and to the unit cube.
     """
-    if not eps > 0:
-        raise ConfigError("eps must be > 0")
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
+    eps = checked("eps", eps, float, gt=0)
+    steps = checked("steps", steps, int, ge=0)
     if norm not in ("linf", "l2"):
         raise ConfigError(f"norm must be 'linf' or 'l2', got {norm!r}")
     if step_size is None:
@@ -416,7 +407,7 @@ def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
     x0 = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_true, dtype=np.intp)
     adv = x0.copy()
-    for _ in range(int(steps)):
+    for _ in range(steps):
         # one pass per class gives both E_c and dE_c/dx at adv
         passes = [net.grad_x(adv, np.full(adv.shape[0], c, dtype=np.intp),
                              with_energy=True) for c in range(n_classes)]
@@ -445,8 +436,7 @@ def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
 def mode_coverage(samples, centers, radius):
     """Fraction of samples within radius of each center (nearest-center
     assignment), plus the unassigned remainder."""
-    if not radius > 0:
-        raise ConfigError("radius must be > 0")
+    radius = checked("radius", radius, float, gt=0)
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     samples = np.asarray(samples, dtype=np.float64)
     k = centers.shape[0]

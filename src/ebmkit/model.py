@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DimensionError, LabelError
+from .errors import ConfigError, DimensionError, LabelError, checked
 
 ACTIVATIONS = ("swish", "leaky_relu")
 
@@ -96,19 +96,19 @@ class ModelConfig:
     power_iters: int = 1
 
     def __post_init__(self):
-        self.widths = tuple(int(w) for w in self.widths)
+        if not isinstance(self.widths, (list, tuple)):
+            raise ConfigError(f"widths must be a list, got {self.widths!r}")
+        self.widths = tuple(checked("each width", w, int, ge=1)
+                            for w in self.widths)
         if len(self.widths) < 2:
             raise ConfigError("widths needs an input extent and an output extent")
         if self.widths[-1] != 1:
             raise ConfigError("last layer width must be 1 (scalar energy)")
-        if any(w < 1 for w in self.widths):
-            raise ConfigError("layer widths must be positive")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unsupported activation {self.activation!r}")
-        if self.num_classes < 0:
-            raise ConfigError("num_classes must be >= 0")
-        if self.power_iters < 1:
-            raise ConfigError("power_iters must be >= 1")
+        self.num_classes = checked("num_classes", self.num_classes, int, ge=0)
+        self.spectral_norm = checked("spectral_norm", self.spectral_norm, bool)
+        self.power_iters = checked("power_iters", self.power_iters, int, ge=1)
 
     @property
     def input_dim(self):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ChainDivergedError, ConfigError, DimensionError,
-                     LabelError)
+                     LabelError, checked)
 
 
 @dataclass
@@ -46,25 +46,23 @@ class LangevinConfig:
     clamp: tuple | None = None
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise ConfigError(
-                f"step_size must be a finite number > 0, got {self.step_size}")
-        if not (np.isfinite(self.noise) and self.noise >= 0):
-            raise ConfigError(
-                f"noise must be a finite number >= 0, got {self.noise}")
-        if not self.grad_clip > 0:
-            raise ConfigError("grad_clip must be > 0")
+        self.steps = checked("steps", self.steps, int, ge=0)
+        self.step_size = checked("step_size", self.step_size, float, gt=0)
+        self.noise = checked("noise", self.noise, float, ge=0)
+        self.grad_clip = checked("grad_clip", self.grad_clip, float, gt=0)
         if self.mask is not None:
             self.mask = np.asarray(self.mask, dtype=bool)
-        if self.eps_box is not None and not self.eps_box > 0:
-            raise ConfigError("eps_box must be > 0 when set")
+        if self.eps_box is not None:
+            self.eps_box = checked("eps_box", self.eps_box, float, gt=0)
         if self.clamp is not None:
-            lo, hi = self.clamp
+            try:
+                lo, hi = (checked("clamp", v, float) for v in self.clamp)
+            except (TypeError, ValueError):
+                raise ConfigError(f"clamp must be a (lo, hi) pair or null, "
+                                  f"got {self.clamp!r}") from None
             if not lo < hi:
                 raise ConfigError("clamp bounds must satisfy lo < hi")
-            self.clamp = (float(lo), float(hi))
+            self.clamp = (lo, hi)
 
 
 class ReplayBuffer:
@@ -75,12 +73,9 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity=10_000, uniform_prob=0.05):
-        if capacity < 1:
-            raise ConfigError("capacity must be >= 1")
-        if not 0.0 <= uniform_prob <= 1.0:
-            raise ConfigError("uniform_prob must lie in [0, 1]")
-        self.capacity = int(capacity)
-        self.uniform_prob = float(uniform_prob)
+        self.capacity = checked("capacity", capacity, int, ge=1)
+        self.uniform_prob = checked("uniform_prob", uniform_prob, float,
+                                    ge=0, le=1)
         self._data = None
         self._labels = None
         self._size = 0
@@ -231,5 +226,5 @@ def inpaint(x_corrupt, mask, net, cfg, rng, labels=None):
 def refine_bounded(x0, eps_box, net, cfg, rng, labels=None):
     """Sample while staying within an L-infinity ball of radius eps_box
     around x0. Returns the refined batch."""
-    return run_chain(x0, net, replace(cfg, eps_box=float(eps_box)), rng,
+    return run_chain(x0, net, replace(cfg, eps_box=eps_box), rng,
                      labels=labels)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ChainDivergedError, ConfigError, ContractError,
-                     DimensionError, TrainingDivergedError)
+from .errors import (ChainDivergedError, ContractError, DimensionError,
+                     TrainingDivergedError, checked)
 from .sampler import LangevinConfig, init_batch, run_chain
 
 
@@ -49,18 +49,15 @@ class TrainConfig:
         default_factory=lambda: LangevinConfig(clamp=(0.0, 1.0)))
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
-        if not self.lr >= 0:
-            raise ConfigError("lr must be >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not self.clip_sigmas > 0:
-            raise ConfigError("clip_sigmas must be > 0")
-        if self.total_steps < 0:
-            raise ConfigError("total_steps must be >= 0")
+        self.alpha = checked("alpha", self.alpha, float, ge=0)
+        self.lr = checked("lr", self.lr, float, ge=0)
+        self.beta1 = checked("beta1", self.beta1, float, ge=0, lt=1)
+        self.beta2 = checked("beta2", self.beta2, float, ge=0, lt=1)
+        self.adam_eps = checked("adam_eps", self.adam_eps, float, gt=0)
+        self.batch_size = checked("batch_size", self.batch_size, int, ge=1)
+        self.clip_sigmas = checked("clip_sigmas", self.clip_sigmas, float,
+                                   gt=0)
+        self.total_steps = checked("total_steps", self.total_steps, int, ge=0)
 
 
 @dataclass

@@ -7,8 +7,12 @@ installed one when it is on PATH. Module fixtures train small
 checkpoints once and share them.
 """
 
+import argparse
+import contextlib
+import io
 import os
 import platform
+import re
 import resource
 import shutil
 import subprocess
@@ -19,10 +23,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ebmkit
 from ebmkit.checkpoint import load_checkpoint
-from ebmkit.cli import _keep_large_arrays_on_heap, main
+from ebmkit.cli import _keep_large_arrays_on_heap, build_parser, main
 
 from helpers import (MALFORMED_MANIFESTS, save_stateful_checkpoint,
                      simpson_log_partition, with_manifest)
@@ -516,6 +522,15 @@ MISTYPED_YAML = {
     "string-centers": "dataset:\n  kind: mixture\n  centers: abc\n",
     "nan-noise": "langevin:\n  noise: .nan\n",
     "inf-step-size": "langevin:\n  step_size: .inf\n",
+    "inf-grad-clip": "langevin:\n  grad_clip: .inf\n",
+    "nan-alpha": "train:\n  alpha: .nan\n",
+    "inf-lr": "train:\n  lr: .inf\n",
+    "nan-adam-eps": "train:\n  adam_eps: .nan\n",
+    "float-steps": "langevin:\n  steps: 2.5\n",
+    "float-batch-size": "train:\n  batch_size: 32.7\n",
+    "float-power-iters": "model:\n  power_iters: 1.9\n",
+    "string-spectral-norm": "model:\n  spectral_norm: \"false\"\n",
+    "bool-num-classes": "model:\n  num_classes: true\n",
 }
 
 
@@ -574,6 +589,11 @@ BAD_FLAGS = {
                              "step_size"),
     "logz-mala-step-inf": ("mixture", ["eval", "--metric", "logz-bracket",
                                        "--mala-step", "inf"], "step_size"),
+    "sample-grad-clip-inf": ("mixture", ["sample", "--grad-clip", "inf"],
+                             "grad_clip"),
+    "coverage-radius-inf": ("mixture", ["eval", "--metric", "mode-coverage",
+                                        "--radius", "inf"], "--radius"),
+    "attack-eps-inf": ("cond", ["attack", "--eps", "inf"], "--eps"),
 }
 
 
@@ -593,6 +613,173 @@ def test_bad_flag_reports_config_error(mixture_ckpt, cond_ckpt, workdir,
     assert flag in err
     assert not out.exists()
     assert not caught, [str(w.message) for w in caught]
+
+
+# Command lines the parser cannot read, on a checkpoint that does not
+# exist: the parser's report comes first, as one config error line.
+UNREADABLE_ARGV = {
+    "word-for-count": ["--n", "abc"],
+    "unknown-flag": ["--bogus", "1"],
+    "missing-out": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_ARGV))
+def test_unreadable_command_line_reports_config_error(workdir, capsys, case):
+    out = workdir / f"argv-{case}.csv"
+    tail = UNREADABLE_ARGV[case]
+    argv = ["sample", "--checkpoint", str(workdir / "absent.bin")]
+    if tail is not None:
+        argv += tail + ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error config:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["sample", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ebmkit sample")
+
+
+# Each command that reads a matrix file, given an empty one at the flag.
+EMPTY_MATRIX_ARGV = {
+    "init-file": ["sample", "--init-file", "{empty}"],
+    "data-file": ["eval", "--metric", "logz-bracket", "--chains", "2",
+                  "--temps", "2", "--data-file", "{empty}"],
+    "inliers": ["eval", "--metric", "ood-auroc", "--inliers", "{empty}",
+                "--outliers", "{point}"],
+    "outliers": ["eval", "--metric", "ood-auroc", "--inliers", "{point}",
+                 "--outliers", "{empty}"],
+    "mask": ["inpaint", "--input", "{point}", "--mask", "{empty}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_MATRIX_ARGV))
+def test_empty_matrix_file_reports_contract_error(mixture_ckpt, workdir,
+                                                  capsys, case):
+    files = {"empty": workdir / "empty.csv", "point": workdir / "point.csv"}
+    files["empty"].write_text("")
+    files["point"].write_text("0.5,0.5\n")
+    command, *rest = EMPTY_MATRIX_ARGV[case]
+    out = workdir / f"empty-{case}.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--checkpoint", str(mixture_ckpt),
+                     "--out", str(out)] + [a.format(**files) for a in rest])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error contract:") and err.count("\n") == 1
+    assert not out.exists()
+    assert not caught, [str(w.message) for w in caught]
+
+
+# ---------------------------------------------------------------------------
+# numeric flag fuzz: every numeric flag build_parser() declares, on tiny
+# checkpoints, with small and non-finite values
+
+FUZZ_VALUES = {"int": ("-1", "0", "1", "2"),
+               "float": ("-1", "0", "1e-3", "nan", "inf", "-inf")}
+
+# command lines without --out; {name} is a file of the fuzz_inputs fixture
+FUZZ_COMMANDS = {
+    "train": ["train", "--config", "{train}"],
+    "sample": ["sample", "--checkpoint", "{cond}", "--label", "1",
+               "--n", "2", "--steps", "2"],
+    "inpaint": ["inpaint", "--checkpoint", "{mix}", "--input", "{points}",
+                "--mask", "{mask}", "--steps", "2"],
+    "compose": ["compose", "--checkpoints", "{mix}", "{cond}", "--labels",
+                "none", "0", "--n", "2", "--steps", "2"],
+    "logz": ["eval", "--checkpoint", "{mix}", "--metric", "logz-bracket",
+             "--chains", "2", "--temps", "3"],
+    "coverage": ["eval", "--checkpoint", "{mix}", "--metric",
+                 "mode-coverage", "--n", "4"],
+    "rollout": ["eval", "--checkpoint", "{traj}", "--metric",
+                "frechet-rollout", "--horizon", "2", "--steps", "2"],
+    "continual": ["continual", "--config", "{continual}"],
+    "attack": ["attack", "--checkpoint", "{cond}", "--refine", "--eps",
+               "0,0.1", "--n", "4", "--steps", "1", "--refine-steps", "1"],
+}
+
+
+def _numeric_flags(command):
+    """(flag, kind name) of each numeric flag of a subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(a.option_strings[0], a.type.__name__)
+            for a in sub.choices[command]._actions
+            if getattr(a.type, "__name__", None) in FUZZ_VALUES]
+
+
+FUZZ_CASES = [(name, flag, value)
+              for name, argv in FUZZ_COMMANDS.items()
+              for flag, kind in _numeric_flags(argv[0])
+              for value in FUZZ_VALUES[kind]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(workdir):
+    tiny = ("model:\n  widths: [{d}, 4, 1]\n  num_classes: {k}\n"
+            "train:\n  total_steps: 2\n  batch_size: 4\n"
+            "langevin:\n  steps: 2\n")
+    files = {"mix": _train(workdir, "fuzz-mix", tiny.format(d=1, k=0) +
+                           "dataset:\n  kind: mixture\n  centers: [[0.5]]\n",
+                           seed=1),
+             "cond": _train(workdir, "fuzz-cond", tiny.format(d=1, k=2) +
+                            "dataset:\n  kind: mixture\n"
+                            "  centers: [[0.25], [0.75]]\n", seed=2),
+             "traj": _train(workdir, "fuzz-traj", tiny.format(d=5, k=0) +
+                            "dataset:\n  kind: trajectories\n"
+                            "  n_trajectories: 30\n  length: 5\n", seed=3)}
+    texts = {"train": tiny.format(d=1, k=0) + "dataset:\n  kind: mixture\n"
+                      "  centers: [[0.5]]\n  n: 8\n  n_test: 4\n",
+             "continual": tiny.format(d=2, k=0) + "continual:\n  n: 40\n"
+                          "  n_test: 20\n  steps_per_task: 1\n",
+             "points": "0.2\n0.7\n", "mask": "1\n"}
+    for name, text in texts.items():
+        files[name] = workdir / f"fuzz-{name}.in"
+        files[name].write_text(text)
+    return {name: str(path) for name, path in files.items()}
+
+
+def _assert_finite_rows(text, command):
+    rows = text.splitlines()
+    if command not in ("sample", "inpaint", "compose"):
+        rows = rows[1:]                     # a header row
+    for row in rows:
+        cells = row.split(",")
+        if command == "eval":
+            cells = cells[-1:]              # metric,config hash,value
+        assert np.all(np.isfinite([float(c) for c in cells])), row
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=st.sampled_from(FUZZ_CASES))
+def test_numeric_flag_fuzz_keeps_the_cli_contract(fuzz_inputs, workdir, case):
+    """Each call exits 0 with finite outputs, or prints exactly one
+    "error <category>:" line, exits 1 and writes no output; no Python
+    warning either way."""
+    name, flag, value = case
+    argv = [a.format(**fuzz_inputs) for a in FUZZ_COMMANDS[name]]
+    out = workdir / "fuzz-out"
+    written = [out, workdir / "fuzz-out.metrics.csv"]
+    for path in written:
+        path.unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv + [f"{flag}={value}", "--out", str(out)])
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        assert err.getvalue() == ""
+        _assert_finite_rows(written[argv[0] == "train"].read_text(), argv[0])
+    else:
+        assert code == 1
+        assert re.fullmatch(r"error [a-z-]+: [^\n]*\n", err.getvalue())
+        assert not any(path.exists() for path in written)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

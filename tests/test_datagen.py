@@ -151,6 +151,27 @@ def test_sprite_noise_requires_rng():
         mini_sprites(["square"], [0.5], [0.5], [0.5], noise=0.1)
 
 
+NAN_PARAMETERS = {
+    "mixture-sigma": lambda rng: gaussian_mixture([[0.5, 0.5]], np.nan, 10,
+                                                  rng),
+    "mixture-center": lambda rng: gaussian_mixture([[np.nan, 0.5]], 0.05,
+                                                   10, rng),
+    "ring-thickness": lambda rng: ring2d(0.3, np.nan, 10, rng),
+    "sprite-noise": lambda rng: mini_sprites(["square"], [0.5], [0.5], [0.5],
+                                             noise=np.nan, rng=rng),
+    "sprite-scale": lambda rng: mini_sprites(["square"], [0.5], [0.5],
+                                             [np.nan]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_PARAMETERS))
+def test_nan_parameter_rejected_at_generation(case):
+    """A nan passes a plain `<` check; every generator rejects it before
+    it draws."""
+    with pytest.raises(DataError):
+        NAN_PARAMETERS[case](np.random.default_rng(0))
+
+
 # ------------------------------------------------------------- task splits
 
 def _ten_class_dataset():

@@ -154,6 +154,8 @@ def test_ais_config_validation():
     for value in (np.inf, np.nan):
         with pytest.raises(ConfigError):
             AISConfig(step_size=value)
+    with pytest.raises(ConfigError):
+        AISConfig(drift_clip=np.inf)
 
 
 def test_ais_target_equals_base_exact_zero():

@@ -48,6 +48,8 @@ class TestLangevinConfig:
         {"step_size": np.inf},
         {"noise": np.nan},
         {"noise": np.inf},
+        {"grad_clip": np.inf},
+        {"steps": 2.5},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -106,7 +108,7 @@ class TestLangevinStep:
         lam, sig = 0.1, 0.05
         exact = sig ** 2 / (1.0 - (1.0 - lam) ** 2)
         net = QuadraticEnergy(dim=1)
-        cfg = LangevinConfig(step_size=lam, noise=sig, grad_clip=np.inf)
+        cfg = LangevinConfig(step_size=lam, noise=sig, grad_clip=1e6)
         rng = np.random.default_rng(7)
         x = np.zeros((1000, 1))
         burn, keep = 500, 1500

@@ -126,6 +126,8 @@ class TestTrainConfig:
         {"batch_size": 0},
         {"clip_sigmas": 0.0},
         {"total_steps": -1},
+        {"alpha": np.nan},
+        {"adam_eps": 0.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
