@@ -209,7 +209,9 @@ def stable_sigmoid(x):
     e = np.abs(x, out=np.empty_like(x))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    # numerator 1 where x >= 0, else e: exact, as e lies in [0, 1]
+    out = np.array(x >= 0, dtype=x.dtype)
+    np.maximum(out, e, out=out)
     e += 1.0
     out /= e
     return out

@@ -225,25 +225,18 @@ def _build_dataset(spec, rng):
     kind = spec["kind"]
     if kind == "mixture":
         centers = np.asarray(spec["centers"], dtype=np.float64)
-        x, y = gaussian_mixture(centers, float(spec["sigma"]),
-                                int(spec["n"]), rng)
-        x2, y2 = gaussian_mixture(centers, float(spec["sigma"]),
-                                  int(spec["n_test"]), rng)
+        x, y = gaussian_mixture(centers, spec["sigma"], spec["n"], rng)
+        x2, y2 = gaussian_mixture(centers, spec["sigma"], spec["n_test"], rng)
         return {"train": (x, y), "test": (x2, y2), "centers": centers}
     if kind == "ring":
-        x = ring2d(float(spec["radius"]), float(spec["thickness"]),
-                   int(spec["n"]), rng)
-        x2 = ring2d(float(spec["radius"]), float(spec["thickness"]),
-                    int(spec["n_test"]), rng)
+        x = ring2d(spec["radius"], spec["thickness"], spec["n"], rng)
+        x2 = ring2d(spec["radius"], spec["thickness"], spec["n_test"], rng)
         return {"train": (x, None), "test": (x2, None)}
     if kind == "sprites":
-        noise = float(spec["noise"])
-        kwargs = dict(shapes=list(spec["shapes"]),
-                      xs=[float(v) for v in spec["xs"]],
-                      ys=[float(v) for v in spec["ys"]],
-                      scales=[float(v) for v in spec["scales"]],
-                      n_per_combo=int(spec["n_per_combo"]), noise=noise,
-                      rng=rng if noise > 0 else None)
+        kwargs = dict(shapes=list(spec["shapes"]), xs=spec["xs"],
+                      ys=spec["ys"], scales=spec["scales"],
+                      n_per_combo=spec["n_per_combo"], noise=spec["noise"],
+                      rng=rng)
         imgs, latents = mini_sprites(**kwargs)
         imgs2, latents2 = mini_sprites(**kwargs)
         label_by = spec["label_by"]
@@ -255,11 +248,10 @@ def _build_dataset(spec, rng):
         flat2 = imgs2.reshape(imgs2.shape[0], -1)
         return {"train": (flat, y), "test": (flat2, y2)}
     if kind == "trajectories":
-        train, test = trajectory_sim(int(spec["n_trajectories"]),
-                                     length=int(spec["length"]),
-                                     kick_period=int(spec["kick_period"]),
-                                     rng=rng,
-                                     kick_size=float(spec["kick_size"]))
+        train, test = trajectory_sim(spec["n_trajectories"],
+                                     length=spec["length"],
+                                     kick_period=spec["kick_period"],
+                                     rng=rng, kick_size=spec["kick_size"])
 
         def flatten(t):
             return np.concatenate([t.state, t.action, t.next_state], axis=1)
@@ -309,6 +301,8 @@ def _read_matrix(path):
         raise ContractError(f"cannot parse matrix file {path}: {exc}") from exc
     if x.size == 0:
         raise ContractError(f"matrix file {path} holds no numbers")
+    if not np.all(np.isfinite(x)):
+        raise ContractError(f"matrix file {path} holds a non-finite value")
     return x
 
 
@@ -595,10 +589,10 @@ def cmd_continual(args):
     cont = cfg["continual"]
     with _values_of("continual"):
         centers = np.asarray(cont["centers"], dtype=np.float64)
-        sigma, n, n_test = (float(cont["sigma"]), int(cont["n"]),
-                            int(cont["n_test"]))
-        pairs = [tuple(int(c) for c in p) for p in cont["pairs"]]
-        steps_per_task = int(cont["steps_per_task"])
+        pairs = [tuple(p) for p in cont["pairs"]]
+    sigma, n, n_test = cont["sigma"], cont["n"], cont["n_test"]
+    steps_per_task = checked("continual.steps_per_task",
+                             cont["steps_per_task"], int, ge=0)
     if centers.ndim != 2:
         raise ConfigError("continual.centers must be a list of points")
     k = centers.shape[0]

@@ -83,6 +83,10 @@ class SummedEnergy:
             total = total + g
         return (energy, total) if with_energy else total
 
+    def frozen(self):
+        """The sum of the parts' frozen views."""
+        return SummedEnergy([(net.frozen(), label) for net, label in self.parts])
+
     # -- trainable-model plumbing (EnergyNet components only) ----------------
 
     def parameters(self):

@@ -33,6 +33,7 @@ def gaussian_mixture(centers, sigma, n, rng):
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise DataError("centers must be a nonempty (k, d) array")
     sigma = checked("sigma", sigma, float, DataError, ge=0)
+    n = checked("n", n, int, DataError, ge=0)
     margin = 3.0 * sigma
     # written so that a nan center fails too
     if not (np.all(centers - margin > 0.0) and np.all(centers + margin < 1.0)):
@@ -46,6 +47,7 @@ def ring2d(radius, thickness, n, rng):
     """Uniform-angle ring around (0.5, 0.5) with radial Gaussian spread."""
     radius = checked("radius", radius, float, DataError, gt=0)
     thickness = checked("thickness", thickness, float, DataError, ge=0)
+    n = checked("n", n, int, DataError, ge=0)
     if radius + 3.0 * thickness > 0.5:
         raise DataError("ring does not fit inside the unit square")
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -90,9 +92,11 @@ def mini_sprites(shapes, xs, ys, scales, n_per_combo=1, noise=0.0, rng=None):
     3 pixels). Returns (images, latents) with one structured latent
     record per image; row index increases with y.
     """
-    if n_per_combo < 1:
-        raise DataError("n_per_combo must be at least 1")
+    n_per_combo = checked("n_per_combo", n_per_combo, int, DataError, ge=1)
     noise = checked("noise", noise, float, DataError, ge=0)
+    xs = [checked("each x", v, float, DataError) for v in xs]
+    ys = [checked("each y", v, float, DataError) for v in ys]
+    scales = [checked("each scale", v, float, DataError) for v in scales]
     if noise > 0.0 and rng is None:
         raise DataError("pixel noise needs an rng")
     for shape in shapes:
@@ -131,7 +135,8 @@ def split_tasks(x, y, pairs):
     """
     x = np.asarray(x)
     y = np.asarray(y)
-    flat = [c for pair in pairs for c in pair]
+    flat = [checked("each task class", c, int, LabelError, ge=0)
+            for pair in pairs for c in pair]
     if any(len(pair) != 2 for pair in pairs):
         raise LabelError("every task needs exactly two classes")
     if len(set(flat)) != len(flat):
@@ -178,14 +183,12 @@ def trajectory_sim(n_trajectories, length=100, kick_period=4, rng=None,
     Returns (train, test) TransitionSets from a 90-10 split at trajectory
     granularity.
     """
-    if n_trajectories < 1:
-        raise DataError("need at least one trajectory")
-    if length < 2:
-        raise DataError("need at least two states per trajectory")
-    if kick_period < 1:
-        raise DataError("kick_period must be at least 1")
-    if not 0.0 <= kick_size <= ACTION_SCALE:
-        raise DataError(f"kick_size must lie in [0, {ACTION_SCALE}]")
+    n_trajectories = checked("n_trajectories", n_trajectories, int,
+                             DataError, ge=1)
+    length = checked("length", length, int, DataError, ge=2)
+    kick_period = checked("kick_period", kick_period, int, DataError, ge=1)
+    kick_size = checked("kick_size", kick_size, float, DataError, ge=0,
+                        le=ACTION_SCALE)
     if kick_size > 0.0 and rng is None:
         raise DataError("random kicks need an rng")
 

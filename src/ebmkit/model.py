@@ -30,8 +30,10 @@ grad_x(x, labels, *, with_energy=False) on batches, plus a config with
 input_dim, num_classes and spectral_norm. grad_x with with_energy=True
 returns (energy, gradient) at the same points; callers that need both
 (the MALA sweeps, PGD, the fine-tuning loss) take them from that one
-call. Trainable models add parameters, backward, clone and, when
-spectral_norm is set, spectral_update.
+call. frozen() returns the model for evaluations under unchanged weights
+(stand-ins return themselves; see EnergyNet.frozen). Trainable models add
+parameters, backward, clone and, when spectral_norm is set,
+spectral_update.
 """
 
 from __future__ import annotations
@@ -61,6 +63,13 @@ def activation_slope_bound(kind):
     raise ConfigError(f"unsupported activation {kind!r}")
 
 
+def _affine(h, w, b):
+    """h @ w + b, the bias added in place."""
+    z = h @ w
+    z += b
+    return z
+
+
 def _act(z, kind, derivs=None, curvs=None):
     """Activation of z; appends its derivative to derivs and its second
     derivative to curvs when lists are given. Swish takes one sigmoid s
@@ -70,7 +79,10 @@ def _act(z, kind, derivs=None, curvs=None):
         s = ad.stable_sigmoid(z)
         zs = z * s
         if derivs is not None:
-            derivs.append(s + zs * (1.0 - s))
+            d = 1.0 - s
+            d *= zs
+            d += s
+            derivs.append(d)
         if curvs is not None:
             curvs.append(s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s)))
         return zs
@@ -155,6 +167,9 @@ class EnergyNet:
     def __init__(self, config, layers):
         self.config = config
         self.layers = layers
+        # frozen() views only: the effective weights and the memo
+        self._w_effs = None
+        self._memo = None
 
     @classmethod
     def init(cls, config, rng):
@@ -236,11 +251,36 @@ class EnergyNet:
     def _effective_weight(self, layer):
         if not self.config.spectral_norm or layer.u is None:
             return layer.w
-        sigma = np.linalg.norm(layer.w.T @ layer.u)
+        wu = layer.w.T @ layer.u
+        sigma = np.sqrt(wu.dot(wu))     # np.linalg.norm's own arithmetic
         if sigma == 0.0:
             warnings.warn("zero weight matrix, spectral scale skipped")
             return layer.w
         return layer.w / sigma
+
+    def _weights(self):
+        if self._w_effs is not None:
+            return self._w_effs
+        return [self._effective_weight(l) for l in self.layers]
+
+    def frozen(self):
+        """A view of this net for evaluations under unchanged weights. It
+        shares the layers and takes the effective weights once. While calls
+        come at the same bits of x, it keeps a FiLM first layer (label-free)
+        and each label array's (energy, gradient); a new x drops them before
+        anything is computed. A weight update makes earlier views stale."""
+        view = type(self)(self.config, self.layers)
+        view._w_effs = self._weights()
+        view._memo = {}
+        return view
+
+    def _memo_at(self, x):
+        """A view's memo for input x; None on the live net."""
+        memo = self._memo
+        if memo is not None and memo.get("x") != (key := x.tobytes()):
+            memo.clear()
+            memo["x"] = key
+        return memo
 
     def _taped_effective_weight(self, layer, w_t):
         """W / (u^T W v) with u, v fixed at their current estimates, so
@@ -275,27 +315,48 @@ class EnergyNet:
             raise LabelError("label out of range")
         return labels
 
-    def _hidden(self, x, labels, w_effs, derivs=None):
+    def _hidden(self, x, labels, w_effs, derivs=None, gains=None, memo=None):
         """numpy pass through the hidden layers with the given effective
-        weights; appends each activation derivative to derivs when a list
-        is given."""
-        h = x
-        for layer, w in zip(self.layers[:-1], w_effs):
-            h = _act(h @ w + layer.b, self.config.activation, derivs)
+        weights; appends each activation derivative to derivs and each
+        layer's gathered FiLM gain (None without FiLM) to gains when lists
+        are given. A memo supplies or keeps a FiLM first layer."""
+        if labels is not None and labels.size and (labels == labels[0]).all():
+            # one class for every row: its FiLM row broadcasts, ungathered
+            labels = labels[:1]
+        kind, h = self.config.activation, x
+        for i, (layer, w) in enumerate(zip(self.layers[:-1], w_effs)):
+            kept = i == 0 and memo is not None and layer.gamma is not None
+            if kept:
+                if "first" not in memo:
+                    d = []
+                    memo["first"] = (_act(_affine(h, w, layer.b), kind, d),
+                                     d[0])
+                h, d = memo["first"]
+                if derivs is not None:
+                    derivs.append(d)
+            else:
+                h = _act(_affine(h, w, layer.b), kind, derivs)
+            gain = None
             if layer.gamma is not None:
-                h = h * layer.gamma[labels] + layer.beta[labels]
+                gain = layer.gamma[labels]
+                # a kept activation is read again by later calls
+                h = h * gain if kept else np.multiply(h, gain, out=h)
+                h += layer.beta[labels]
+            if gains is not None:
+                gains.append(gain)
         return h
 
     def _head(self, h, w_effs):
         """Energy per row from the last hidden state."""
-        return (h @ w_effs[-1] + self.layers[-1].b)[:, 0]
+        return _affine(h, w_effs[-1], self.layers[-1].b)[:, 0]
 
     def energy(self, x, labels=None):
         """Energy per batch row, shape (batch,)."""
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
-        w_effs = [self._effective_weight(l) for l in self.layers]
-        return self._head(self._hidden(x, labels, w_effs), w_effs)
+        w_effs = self._weights()
+        h = self._hidden(x, labels, w_effs, memo=self._memo_at(x))
+        return self._head(h, w_effs)
 
     def grad_x(self, x, labels=None, *, with_energy=False):
         """d energy[i] / d x[i], shape (batch, d). Rows are independent.
@@ -305,19 +366,26 @@ class EnergyNet:
         """
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
-        w_effs = [self._effective_weight(l) for l in self.layers]
-        derivs = []
-        h = self._hidden(x, labels, w_effs, derivs)
-        g = np.repeat(w_effs[-1].T, x.shape[0], axis=0)
+        memo = self._memo_at(x)
+        key = None if labels is None else labels.tobytes()
+        if memo is not None and key in memo:
+            e, g = (a.copy() for a in memo[key])
+            return (e, g) if with_energy else g
+        w_effs = self._weights()
+        derivs, gains = [], []
+        h = self._hidden(x, labels, w_effs, derivs, gains, memo)
+        g = w_effs[-1].T    # one row; the products broadcast it
         for i in range(len(self.layers) - 2, -1, -1):
-            layer = self.layers[i]
-            if layer.gamma is not None:
-                g = g * layer.gamma[labels]
+            if gains[i] is not None:
+                g = g * gains[i]
             g = g * derivs[i]
             g = g @ w_effs[i].T
-        if with_energy:
-            return self._head(h, w_effs), g
-        return g
+        if len(self.layers) == 1:
+            g = np.repeat(g, x.shape[0], axis=0)
+        e = self._head(h, w_effs) if with_energy or memo is not None else None
+        if memo is not None:
+            memo[key] = (e.copy(), g.copy())
+        return (e, g) if with_energy else g
 
     def backward(self, x, labels=None, r=None, c=None):
         """Gradients of phi = sum_i r[i] E(x[i]) + sum_i c[i] . grad_x E(x[i]).
@@ -340,11 +408,12 @@ class EnergyNet:
                 f"cotangents of shape {r.shape} and {np.shape(c)} do not "
                 f"match inputs of shape {x.shape}")
         kind = self.config.activation
-        w_effs = [self._effective_weight(l) for l in self.layers]
+        w_effs = self._weights()
         derivs, curvs, saved = [], [], []
         h = x
         for layer, w in zip(self.layers[:-1], w_effs):
-            a = _act(h @ w + layer.b, kind, derivs, curvs if tangent else None)
+            a = _act(_affine(h, w, layer.b), kind, derivs,
+                     curvs if tangent else None)
             dz = da = None
             if tangent:
                 dz = dh @ w
@@ -354,7 +423,8 @@ class EnergyNet:
                 h, dh = a, da
             else:
                 gain = layer.gamma[labels]
-                h = a * gain + layer.beta[labels]
+                h = a * gain
+                h += layer.beta[labels]
                 dh = da * gain if tangent else None
 
         # hb and dhb are the adjoints of the hidden state and its tangent
@@ -396,7 +466,7 @@ class EnergyNet:
             if w is not layer.w:
                 # w = W / sigma with sigma = u^T W v, u and v held fixed
                 wu = layer.w.T @ layer.u
-                sigma = np.linalg.norm(wu)
+                sigma = np.sqrt(wu.dot(wu))
                 g["w"] = (g["w"] - np.sum(g["w"] * w)
                           * np.outer(layer.u, wu / sigma)) / sigma
         return hb, {f"layer{i}.{k}": g[k]

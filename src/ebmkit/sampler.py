@@ -201,6 +201,7 @@ def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0):
 
 def run_chain(init, net, cfg, rng, labels=None):
     """Apply cfg.steps Langevin steps from init; returns the final state."""
+    net = net.frozen()
     x = np.array(init, dtype=np.float64, copy=True)
     center = x.copy() if cfg.eps_box is not None else None
     for k in range(cfg.steps):

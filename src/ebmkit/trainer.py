@@ -202,11 +202,12 @@ def kl_finetune_loss(net, snapshot, langevin, rng, init, labels=None):
         raise DimensionError(
             f"mask shape {mask.shape} does not match dimension {x.shape[1]}")
     clip, lam = langevin.grad_clip, langevin.step_size
+    chain_net = net.frozen()
     # per step: its state, the components the gradient clip left alone,
     # and the components whose update went through (None: all of them)
     record = []
     for k in range(langevin.steps):
-        g = net.grad_x(x, labels)
+        g = chain_net.grad_x(x, labels)
         if not np.all(np.isfinite(g)):
             raise ChainDivergedError("energy gradient is not finite", k)
         new = x - lam * np.clip(g, -clip, clip)

@@ -4,11 +4,12 @@ Everything here is deliberately independent of the package internals:
 finite differences and brute-force evaluation only, so tests compare the
 library against arithmetic a reviewer can redo by hand. Analytic energy
 models and malformed-checkpoint builders are shared here too, and so are
-the earlier forms of four kernels (the masked sigmoid with a two-sigmoid
-input gradient, the MALA sweep that recomputes energies and gradients,
-the quadrature that scores its whole grid in one energy call, and the
-PGD attack that scores classes with separate energy calls), kept as
-bit-exact oracles for their replacements. The taped (autodiff) forms
+the earlier forms of five kernels (the masked sigmoid with a two-sigmoid
+input gradient, the out-of-place network pass with its reverse passes,
+the MALA sweep that recomputes energies and gradients, the quadrature
+that scores its whole grid in one energy call, and the PGD attack that
+scores classes with separate energy calls), kept as bit-exact oracles
+for their replacements. The taped (autodiff) forms
 of the contrastive gradient and of the differentiated fine-tuning chain
 are the references for the closed-form reverse passes, and a composite
 Simpson rule on a fine grid is the reference for the quadrature.
@@ -91,6 +92,9 @@ class QuadraticEnergy:
         delta = np.asarray(x, dtype=np.float64) - self.mu
         return 0.5 * np.einsum("bi,ij,bj->b", delta, self.prec, delta)
 
+    def frozen(self):
+        return self
+
     def grad_x(self, x, labels=None, *, with_energy=False):
         delta = np.asarray(x, dtype=np.float64) - self.mu
         g = delta @ self.prec.T
@@ -131,6 +135,9 @@ class GaussianMixtureEnergy:
         logs = self._component_logs(np.asarray(x, dtype=np.float64))
         m = logs.max(axis=1)
         return -(m + np.log(np.exp(logs - m[:, None]).sum(axis=1)))
+
+    def frozen(self):
+        return self
 
     def grad_x(self, x, labels=None, *, with_energy=False):
         x = np.asarray(x, dtype=np.float64)
@@ -187,6 +194,9 @@ class TapedQuadratic:
     def energy(self, x, labels=None):
         delta = np.asarray(x, dtype=np.float64) - self.mu
         return 0.5 * float(self.w) * (delta ** 2).sum(axis=1)
+
+    def frozen(self):
+        return self
 
     def grad_x(self, x, labels=None, *, with_energy=False):
         g = float(self.w) * (np.asarray(x, dtype=np.float64) - self.mu)
@@ -330,6 +340,118 @@ def two_sigmoid_grad_x(net, x, labels=None, slope=0.2):
     return g
 
 
+def _reference_act(z, kind, derivs, curvs):
+    from ebmkit.model import LEAKY_SLOPE
+
+    if kind == "swish":
+        s = masked_sigmoid(z)
+        zs = z * s
+        derivs.append(s + zs * (1.0 - s))
+        curvs.append(s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s)))
+        return zs
+    derivs.append(np.where(z > 0, 1.0, LEAKY_SLOPE))
+    curvs.append(0.0)
+    return np.where(z > 0, z, LEAKY_SLOPE * z)
+
+
+def _reference_weights(net):
+    w_effs = []
+    for layer in net.layers:
+        w = layer.w
+        if net.config.spectral_norm and layer.u is not None:
+            sigma = np.linalg.norm(layer.w.T @ layer.u)
+            if sigma != 0.0:
+                w = w / sigma
+        w_effs.append(w)
+    return w_effs
+
+
+def reference_energy_grad(net, x, labels=None):
+    """(energy, grad_x) of an EnergyNet by the out-of-place pass: fresh
+    temporaries for every bias, activation derivative and FiLM product,
+    rows gathered per layer, and the reverse pass seeded by np.repeat."""
+    w_effs = _reference_weights(net)
+    derivs, h = [], x
+    for layer, w in zip(net.layers[:-1], w_effs):
+        h = _reference_act(h @ w + layer.b, net.config.activation, derivs, [])
+        if layer.gamma is not None:
+            h = h * layer.gamma[labels] + layer.beta[labels]
+    energy = (h @ w_effs[-1] + net.layers[-1].b)[:, 0]
+    g = np.repeat(w_effs[-1].T, x.shape[0], axis=0)
+    for i in range(len(net.layers) - 2, -1, -1):
+        layer = net.layers[i]
+        if layer.gamma is not None:
+            g = g * layer.gamma[labels]
+        g = g * derivs[i]
+        g = g @ w_effs[i].T
+    return energy, g
+
+
+def reference_backward(net, x, labels=None, r=None, c=None):
+    """EnergyNet.backward by the out-of-place pass, as reference_energy_grad."""
+    n = x.shape[0]
+    r = np.zeros(n) if r is None else r
+    dh, tangent = c, c is not None
+    w_effs = _reference_weights(net)
+    derivs, curvs, saved = [], [], []
+    h = x
+    for layer, w in zip(net.layers[:-1], w_effs):
+        a = _reference_act(h @ w + layer.b, net.config.activation, derivs,
+                           curvs)
+        dz = da = None
+        if tangent:
+            dz = dh @ w
+            da = derivs[-1] * dz
+        saved.append((h, dh, a, dz, da))
+        if layer.gamma is None:
+            h, dh = a, da
+        else:
+            gain = layer.gamma[labels]
+            h = a * gain + layer.beta[labels]
+            dh = da * gain if tangent else None
+    w = w_effs[-1]
+    grads = [None] * len(net.layers)
+    grads[-1] = {"w": h.T @ r[:, None], "b": r.sum(keepdims=True)}
+    hb = r[:, None] * w.T
+    if tangent:
+        grads[-1]["w"] = grads[-1]["w"] + dh.sum(axis=0)[:, None]
+        dhb = np.broadcast_to(w.T, h.shape)
+    if labels is not None:
+        onehot = (labels[:, None] == np.arange(net.config.num_classes)
+                  ).astype(np.float64)
+    for i in range(len(net.layers) - 2, -1, -1):
+        layer, w = net.layers[i], w_effs[i]
+        h, dh, a, dz, da = saved[i]
+        g = {}
+        if layer.gamma is not None:
+            g["gamma"] = onehot.T @ (hb * a + dhb * da if tangent
+                                     else hb * a)
+            g["beta"] = onehot.T @ hb
+            gain = layer.gamma[labels]
+            hb = hb * gain
+            if tangent:
+                dhb = dhb * gain
+        if tangent:
+            dzb = dhb * derivs[i]
+            zb = hb * derivs[i] + dhb * dz * curvs[i]
+            g["w"] = h.T @ zb + dh.T @ dzb
+            dhb = dzb @ w.T
+        else:
+            zb = hb * derivs[i]
+            g["w"] = h.T @ zb
+        g["b"] = zb.sum(axis=0)
+        hb = zb @ w.T
+        grads[i] = g
+    for layer, w, g in zip(net.layers, w_effs, grads):
+        if w is not layer.w:
+            wu = layer.w.T @ layer.u
+            sigma = np.linalg.norm(wu)
+            g["w"] = (g["w"] - np.sum(g["w"] * w)
+                      * np.outer(layer.u, wu / sigma)) / sigma
+    return hb, {f"layer{i}.{k}": g[k] for i, g in enumerate(grads)
+                for k in ("w", "b", "gamma", "beta") if k in g}
+
+
 def _recomputing_mala_sweep(net, base, beta, x, u, cfg, rng, drift):
     """Each transition evaluates the rung gradient at x afresh."""
     def rung_energy(v):
@@ -416,6 +538,9 @@ class CallCounter:
     def energy(self, x, labels=None):
         self.calls["energy"] += 1
         return self.net.energy(x, labels)
+
+    def frozen(self):
+        return self
 
     def grad_x(self, x, labels=None, *, with_energy=False):
         self.calls["grad_x"] += 1

@@ -558,6 +558,37 @@ def test_mistyped_continual_classes_report_config_error(workdir, capsys):
     assert err.startswith("error config:") and err.count("\n") == 1
 
 
+# Fractional counts, in each section that feeds a data generator.
+FRACTIONAL_COUNTS = {
+    "mixture-n": ("train", "dataset:\n  kind: mixture\n  n: 2.5\n"),
+    "mixture-n-test": ("train", "dataset:\n  kind: mixture\n  n_test: 3.9\n"),
+    "ring-n": ("train", "dataset:\n  kind: ring\n  n: 2.5\n"),
+    "sprites-n-per-combo": ("train", "dataset:\n  kind: sprites\n"
+                            "  n_per_combo: 1.5\n"),
+    "trajectories-count": ("train", "dataset:\n  kind: trajectories\n"
+                           "  n_trajectories: 2.5\n"),
+    "trajectories-length": ("train", "dataset:\n  kind: trajectories\n"
+                            "  length: 2.5\n"),
+    "trajectories-kick-period": ("train", "dataset:\n  kind: trajectories\n"
+                                 "  kick_period: 1.5\n"),
+    "continual-n": ("continual", "continual:\n  n: 2.5\n"),
+    "continual-n-test": ("continual", "continual:\n  n_test: 3.9\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRACTIONAL_COUNTS))
+def test_fractional_count_reports_data_error(workdir, capsys, case):
+    command, text = FRACTIONAL_COUNTS[case]
+    cfg = workdir / f"fractional-{case}.yaml"
+    cfg.write_text(text)
+    out = workdir / f"fractional-{case}.out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error data:") and err.count("\n") == 1
+    assert "must be an integer" in err
+    assert not out.exists()
+
+
 BAD_FLAGS = {
     "sample-negative-n": ("mixture", ["sample", "--n", "-1"], "--n"),
     "sample-negative-seed": ("mixture", ["sample", "--seed", "-1"], "--seed"),
@@ -644,7 +675,8 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: ebmkit sample")
 
 
-# Each command that reads a matrix file, given an empty one at the flag.
+# Each command that reads a matrix file, given an empty one at the flag;
+# the cases suffixed with a value give a file that holds that value.
 EMPTY_MATRIX_ARGV = {
     "init-file": ["sample", "--init-file", "{empty}"],
     "data-file": ["eval", "--metric", "logz-bracket", "--chains", "2",
@@ -655,14 +687,28 @@ EMPTY_MATRIX_ARGV = {
                  "--outliers", "{empty}"],
     "mask": ["inpaint", "--input", "{point}", "--mask", "{empty}"],
 }
+NON_FINITE_MATRIX = {"nan": "0.5,nan\n", "inf": "inf,0.5\n",
+                     "neginf": "0.5,0.5\n-inf,0.5\n"}
+EMPTY_MATRIX_ARGV.update(
+    {f"{case}-{value}": [a.replace("{empty}", "{%s}" % value) for a in argv]
+     for case, argv in list(EMPTY_MATRIX_ARGV.items())
+     for value in NON_FINITE_MATRIX})
+EMPTY_MATRIX_ARGV.update(
+    {f"input-{value}": ["inpaint", "--input", "{%s}" % value,
+                        "--mask", "{mask}"]
+     for value in ["empty", *NON_FINITE_MATRIX]})
 
 
 @pytest.mark.parametrize("case", sorted(EMPTY_MATRIX_ARGV))
 def test_empty_matrix_file_reports_contract_error(mixture_ckpt, workdir,
                                                   capsys, case):
-    files = {"empty": workdir / "empty.csv", "point": workdir / "point.csv"}
+    files = {name: workdir / f"{name}.csv"
+             for name in ["empty", "point", "mask", *NON_FINITE_MATRIX]}
     files["empty"].write_text("")
     files["point"].write_text("0.5,0.5\n")
+    files["mask"].write_text("1,0\n")
+    for value, text in NON_FINITE_MATRIX.items():
+        files[value].write_text(text)
     command, *rest = EMPTY_MATRIX_ARGV[case]
     out = workdir / f"empty-{case}.csv"
     with warnings.catch_warnings(record=True) as caught:

@@ -26,6 +26,9 @@ class RidgeEnergy:
         d = x[:, self.axis] - self.value
         return 0.5 * self.k * d * d
 
+    def frozen(self):
+        return self
+
     def grad_x(self, x, labels=None):
         g = np.zeros_like(x)
         g[:, self.axis] = self.k * (x[:, self.axis] - self.value)

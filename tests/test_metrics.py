@@ -27,6 +27,9 @@ class FlatEnergy:
     def energy(self, x, labels=None):
         return np.full(np.asarray(x).shape[0], float(self.c))
 
+    def frozen(self):
+        return self
+
     def grad_x(self, x, labels=None, *, with_energy=False):
         g = np.zeros_like(np.asarray(x, dtype=np.float64))
         return (self.energy(x), g) if with_energy else g
@@ -39,6 +42,9 @@ class BottomlessEnergy:
 
     def energy(self, x, labels=None):
         return np.full(np.asarray(x).shape[0], np.inf)
+
+    def frozen(self):
+        return self
 
     def grad_x(self, x, labels=None, *, with_energy=False):
         g = np.zeros_like(np.asarray(x, dtype=np.float64))
@@ -65,6 +71,9 @@ class TwoCenterEnergy:
         x = np.asarray(x, dtype=np.float64)
         delta = x - self.centers[labels]
         return 0.5 * self.k * (delta ** 2).sum(axis=1) + self.offsets[labels]
+
+    def frozen(self):
+        return self
 
     def grad_x(self, x, labels=None, *, with_energy=False):
         x = np.asarray(x, dtype=np.float64)
@@ -593,6 +602,20 @@ def test_pgd_matches_separate_energy_pass_bit_for_bit(norm, num_classes):
     assert np.array_equal(adv, pgd_attack_reference(net, x, y, eps=0.1,
                                                     steps=steps, norm=norm))
     assert counted.calls == {"energy": 0, "grad_x": steps * num_classes}
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+@pytest.mark.parametrize("rows", [37, 64])
+def test_pgd_on_a_real_net_matches_reference_bytes(norm, rows):
+    """pgd_attack on an EnergyNet, whose frozen view shares the first layer
+    across the class calls at each point, gives the reference's bytes."""
+    net = _film_net(4, seed=60 + rows)
+    rng = np.random.default_rng(61)
+    x = rng.uniform(size=(rows, 2))
+    y = rng.integers(0, 4, size=rows)
+    adv = pgd_attack(net, x, y, eps=0.1, steps=6, norm=norm)
+    ref = pgd_attack_reference(net, x, y, eps=0.1, steps=6, norm=norm)
+    assert adv.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

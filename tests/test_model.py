@@ -9,7 +9,8 @@ from ebmkit.errors import ConfigError, DimensionError, LabelError
 from ebmkit.model import (ACTIVATIONS, EnergyNet, Layer, ModelConfig,
                           activation_slope_bound)
 
-from helpers import (QuadraticEnergy, central_diff, relative_error,
+from helpers import (QuadraticEnergy, central_diff, reference_backward,
+                     reference_energy_grad, relative_error,
                      two_sigmoid_grad_x)
 
 
@@ -359,3 +360,120 @@ def test_fused_energy_is_bit_equal(widths, activation, num_classes, spectral,
     e, g = summed.grad_x(x, with_energy=True)
     assert (e == summed.energy(x)).all()
     assert (g == summed.grad_x(x)).all()
+
+
+# -- the in-place network pass and frozen views ------------------------------------
+
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+KERNEL_NETS = dict(
+    widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    activation=st.sampled_from(ACTIVATIONS),
+    num_classes=st.sampled_from((0, 3)),
+    spectral=st.booleans(),
+    rows=st.integers(0, 13),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2 ** 16))
+
+
+def _kernel_case(widths, activation, num_classes, spectral, rows, uniform,
+                 seed):
+    """A random net with random FiLM parameters, inputs and labels (one
+    class for all rows when uniform)."""
+    rng = np.random.default_rng(seed)
+    net = small_net(widths=(*widths, 1), activation=activation,
+                    num_classes=num_classes, spectral=spectral, seed=seed)
+    for layer in net.layers:
+        if layer.gamma is not None:
+            layer.gamma = rng.normal(size=layer.gamma.shape)
+            layer.beta = rng.normal(size=layer.beta.shape)
+    x = rng.normal(scale=3.0, size=(rows, widths[0]))
+    labels = None
+    if num_classes:
+        labels = (np.full(rows, rng.integers(num_classes)) if uniform
+                  else rng.integers(0, num_classes, size=rows))
+    return net, x, labels, rng
+
+
+def _assert_bytes_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@KERNEL_SETTINGS
+@given(**KERNEL_NETS)
+def test_lean_pass_matches_out_of_place_reference(**case):
+    """energy, grad_x and grad_x(..., with_energy=True), on the net and on
+    a frozen view, equal the out-of-place pass byte for byte."""
+    net, x, labels, _ = _kernel_case(**case)
+    e_ref, g_ref = reference_energy_grad(net, x, labels)
+    for model in (net, net.frozen()):
+        _assert_bytes_equal(model.energy(x, labels), e_ref)
+        _assert_bytes_equal(model.grad_x(x, labels), g_ref)
+        e, g = model.grad_x(x, labels, with_energy=True)
+        _assert_bytes_equal(e, e_ref)
+        _assert_bytes_equal(g, g_ref)
+
+
+@KERNEL_SETTINGS
+@given(**KERNEL_NETS)
+def test_frozen_view_follows_the_pgd_pattern(**case):
+    """A view called twice for every class at one point, then at a new
+    point, then at that point changed in place, answers as the
+    out-of-place pass does."""
+    net, x, _, rng = _kernel_case(**case)
+    view = net.frozen()
+    classes = range(net.config.num_classes) or [None]
+
+    def check(points):
+        for c in classes:
+            labels = None if c is None else np.full(points.shape[0], c)
+            e_ref, g_ref = reference_energy_grad(net, points, labels)
+            e, g = view.grad_x(points, labels, with_energy=True)
+            _assert_bytes_equal(e, e_ref)
+            _assert_bytes_equal(g, g_ref)
+            e += 1.0    # what a caller does with its arrays stays its own
+            g += 1.0
+            _assert_bytes_equal(view.grad_x(points, labels), g_ref)
+            _assert_bytes_equal(view.energy(points, labels), e_ref)
+
+    check(x)
+    x = x + rng.normal(size=x.shape)
+    check(x)
+    if x.size:
+        x[-1, 0] += 1.0
+        check(x)
+
+
+def test_frozen_view_shares_layers_and_keeps_the_live_net_live():
+    net = small_net(widths=(3, 8, 8, 1), num_classes=3, seed=5)
+    view = net.frozen()
+    assert view.layers is net.layers and view.config is net.config
+    assert isinstance(view.frozen(), EnergyNet)
+    # the live net takes its effective weights afresh at every call
+    x = np.random.default_rng(5).uniform(size=(4, 3))
+    labels = np.zeros(4, dtype=np.intp)
+    before = net.energy(x, labels)
+    net.layers[1].w += 0.5
+    assert not np.array_equal(net.energy(x, labels), before)
+    net.layers[1].w -= 0.5
+    summed = SummedEnergy([(net, 1), (small_net(seed=6), None)])
+    frozen_sum = summed.frozen()
+    assert [l for _, l in frozen_sum.parts] == [1, None]
+    _assert_bytes_equal(frozen_sum.grad_x(x), summed.grad_x(x))
+
+
+@KERNEL_SETTINGS
+@given(**KERNEL_NETS, tangent=st.booleans())
+def test_backward_matches_out_of_place_reference(tangent, **case):
+    """backward, with c None and with a tangent c, equals the out-of-place
+    reverse pass byte for byte."""
+    net, x, labels, rng = _kernel_case(**case)
+    r = rng.normal(size=x.shape[0])
+    c = rng.normal(size=x.shape) if tangent else None
+    gx_ref, grads_ref = reference_backward(net, x, labels, r=r, c=c)
+    gx, grads = net.backward(x, labels, r=r, c=c)
+    _assert_bytes_equal(gx, gx_ref)
+    assert list(grads) == [name for name, _ in net.parameters()]
+    assert set(grads) == set(grads_ref)
+    for name, g in grads.items():
+        _assert_bytes_equal(g, grads_ref[name])

@@ -174,6 +174,31 @@ class TestTrainStep:
 
         assert run() == run()
 
+    def test_no_view_outlives_a_weight_update(self, monkeypatch):
+        """Two steps with frozen views in the chains equal, byte for byte,
+        two steps where every view is the live net: no view taken before
+        an Adam or spectral update is read after it."""
+        def run():
+            rng = np.random.default_rng(17)
+            net = EnergyNet.init(ModelConfig(widths=(2, 16, 16, 1),
+                                             num_classes=3), rng)
+            buffer = ReplayBuffer(capacity=100)
+            cfg = TrainConfig(lr=1e-2, batch_size=8,
+                              langevin=LangevinConfig(steps=5))
+            state = AdamState.for_parameters(net.parameters())
+            for _ in range(2):
+                train_step(net, rng.uniform(size=(8, 2)), buffer, cfg, state,
+                           rng, labels=rng.integers(0, 3, size=8))
+            samples, labels = buffer.snapshot()
+            arrays = [p for _, p in net.parameters()]
+            arrays += [l.u for l in net.layers]
+            arrays += [state.m[k] for k in state.m] + [state.v[k] for k in state.v]
+            return [a.tobytes() for a in arrays + [samples, labels]]
+
+        shipped = run()
+        monkeypatch.setattr(EnergyNet, "frozen", lambda self: self)
+        assert run() == shipped
+
     def test_gradient_estimator_matches_analytic_ml_gradient(self):
         """With exact negatives from p_theta, the alpha=0 loss gradient
         w.r.t. mu should equal mu - mean(data) up to Monte-Carlo error
