@@ -590,7 +590,6 @@ def cmd_continual(args):
     with _values_of("continual"):
         centers = np.asarray(cont["centers"], dtype=np.float64)
         pairs = [tuple(p) for p in cont["pairs"]]
-    sigma, n, n_test = cont["sigma"], cont["n"], cont["n_test"]
     steps_per_task = checked("continual.steps_per_task",
                              cont["steps_per_task"], int, ge=0)
     if centers.ndim != 2:
@@ -608,8 +607,9 @@ def cmd_continual(args):
         raise ConfigError("model input width does not match center dimension")
     train_cfg, buffer_args = _training(cfg)
     data_rng, init_rng, work_rng = _rngs(args.seed)
-    x, y = gaussian_mixture(centers, sigma, n, data_rng)
-    x_test, y_test = gaussian_mixture(centers, sigma, n_test, data_rng)
+    x, y = gaussian_mixture(centers, cont["sigma"], cont["n"], data_rng)
+    x_test, y_test = gaussian_mixture(centers, cont["sigma"], cont["n_test"],
+                                      data_rng)
     tasks = split_tasks(x, y, pairs)
     for task_id, _, y_task in tasks:
         if not np.isin(y_test, y_task).any():

@@ -200,7 +200,8 @@ def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0):
 
 
 def run_chain(init, net, cfg, rng, labels=None):
-    """Apply cfg.steps Langevin steps from init; returns the final state."""
+    """Apply cfg.steps Langevin steps from init; returns the final state.
+    The steps run on net.frozen(), as no weight changes within a chain."""
     net = net.frozen()
     x = np.array(init, dtype=np.float64, copy=True)
     center = x.copy() if cfg.eps_box is not None else None
