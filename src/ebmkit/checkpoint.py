@@ -3,7 +3,8 @@
 File layout, all integers little-endian:
 
     magic     4 bytes   b"EBM1"
-    version   u32       format version (currently 1)
+    version   u32       format version (currently 2; version 1 files,
+                        which stored a label per buffer row, are refused)
     mlen      u32       manifest byte length
     manifest  mlen bytes of UTF-8 JSON (canonical: sorted keys, compact
               separators), holding the model config, optional train
@@ -14,8 +15,7 @@ File layout, all integers little-endian:
               then the spectral u vector when normalization is on
     adam      (optional) per parameter in declaration order: first-moment
               then second-moment values
-    buffer    (optional) count as u64, samples row-major, then one i64
-              label per row when the buffer is labeled
+    buffer    (optional) count as u64, then samples row-major
 
 Every array length is derivable from the manifest alone, and
 load(save(x)) reproduces x bit-exactly, including a byte-identical file
@@ -40,10 +40,9 @@ from .sampler import ReplayBuffer
 from .trainer import AdamState
 
 MAGIC = b"EBM1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _F8 = np.dtype("<f8")
-_I8 = np.dtype("<i8")
 
 
 @dataclass
@@ -105,19 +104,15 @@ def save_checkpoint(path, net, *, train=None, dataset=None, seed=None,
             chunks.append(_blob(adam.m[name]))
             chunks.append(_blob(adam.v[name]))
     if buffer is not None:
-        samples, labels = buffer.snapshot()
+        samples = buffer.snapshot()
         manifest["buffer"] = {
             "count": int(samples.shape[0]),
-            "dim": int(samples.shape[1]) if samples.size else int(buffer.dim or 0),
-            "labeled": buffer.labeled,
+            "dim": int(samples.shape[1]),
             "capacity": int(buffer.capacity),
             "uniform_prob": float(buffer.uniform_prob),
         }
         chunks.append(struct.pack("<Q", samples.shape[0]))
         chunks.append(_blob(samples))
-        if labels is not None:
-            chunks.append(np.ascontiguousarray(labels)
-                          .astype(_I8, copy=False).tobytes())
     mbytes = json.dumps(manifest, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     head = MAGIC + struct.pack("<II", FORMAT_VERSION, len(mbytes))
@@ -137,10 +132,9 @@ class _Reader:
         self.offset = end
         return out
 
-    def array(self, shape, what, dtype=_F8):
-        n = math.prod(shape)
-        raw = self.take(n * dtype.itemsize, what)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    def array(self, shape, what):
+        raw = self.take(math.prod(shape) * _F8.itemsize, what)
+        return np.frombuffer(raw, dtype=_F8).reshape(shape).copy()
 
 
 _BLOB_NAMES = {"w": "layer weights", "b": "layer biases", "gamma": "class gains",
@@ -163,7 +157,7 @@ def _parse_manifest(manifest):
         if binfo is not None:
             binfo = {k: checked(k, binfo[k], kind) for k, kind in (
                 ("count", int), ("dim", int), ("capacity", int),
-                ("labeled", bool), ("uniform_prob", float))}
+                ("uniform_prob", float))}
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise _malformed(f"{type(exc).__name__} {exc}") from exc
     if binfo is not None:
@@ -214,14 +208,12 @@ def load_checkpoint(path):
         if count != binfo["count"]:
             raise ContractError("buffer count disagrees with manifest")
         samples = reader.array((count, binfo["dim"]), "buffer samples")
-        labels = (reader.array((count,), "buffer labels", dtype=_I8)
-                  if binfo["labeled"] else None)
         try:
             buffer = ReplayBuffer(capacity=binfo["capacity"],
                                   uniform_prob=binfo["uniform_prob"])
             if binfo["dim"]:
                 # an empty buffer that has seen a batch keeps its shape
-                buffer.insert(samples, labels)
+                buffer.insert(samples)
         except (ConfigError, MemoryError, ValueError) as exc:
             raise _malformed(f"replay buffer cannot be built: {exc}") from exc
     if reader.offset != len(data):

@@ -432,11 +432,12 @@ def cmd_compose(args):
     rng = np.random.default_rng(args.seed)
     if args.finetune_config:
         cfg = load_run_config(args.finetune_config)["finetune"]
-        with _values_of("finetune"):
-            combos = [tuple(c) for c in cfg["combos"]]
-        if not combos:
-            raise ConfigError("finetune.combos must list at least one "
-                              "label combination")
+        combos = cfg["combos"]
+        if not (combos and isinstance(combos, list)
+                and all(isinstance(c, list) for c in combos)):
+            raise ConfigError("finetune.combos must be a non-empty list of "
+                              f"label lists, got {combos!r}")
+        combos = [tuple(c) for c in combos]
         tcfg = TrainConfig(lr=cfg["lr"], batch_size=cfg["batch_size"],
                            langevin=LangevinConfig(**cfg["chain"],
                                                    clamp=(0.0, 1.0)))
@@ -457,7 +458,7 @@ def _eval_logz(args, bundle, rng):
     if args.data_file:
         exact = _read_matrix(args.data_file)
     elif bundle.buffer is not None and len(bundle.buffer):
-        samples, _ = bundle.buffer.snapshot()
+        samples = bundle.buffer.snapshot()
         exact = samples[-min(len(samples), 256):]
     else:
         raise ConfigError("the reverse estimator needs model samples: "
@@ -522,7 +523,7 @@ def _eval_coverage(args, bundle, rng):
         raise ConfigError("mode-coverage needs a mixture-trained checkpoint")
     if bundle.buffer is None or not len(bundle.buffer):
         raise ConfigError("mode-coverage reads the checkpoint replay buffer")
-    samples, _ = bundle.buffer.snapshot()
+    samples = bundle.buffer.snapshot()
     tail = samples[-min(len(samples), args.n):]
     fractions, unassigned = mode_coverage(tail, data["centers"], args.radius)
     setup = {"radius": args.radius, "n": len(tail)}

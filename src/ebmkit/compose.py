@@ -45,7 +45,7 @@ class SummedEnergy:
             if classes > 0:
                 if label is None:
                     raise LabelError("conditional component needs a label")
-                if not 0 <= int(label) < classes:
+                if checked("label", label, int, LabelError, ge=0) >= classes:
                     raise LabelError(f"label {label} out of range 0..{classes - 1}")
         self.config = _SummedConfig(
             input_dim=dims.pop(),
@@ -146,14 +146,15 @@ def finetune_combination(models, observed_labels, cfg, rng, epochs=1):
     """
     epochs = checked("epochs", epochs, int, ge=0)
     tuned = [net.clone() for net in models]
+    views = []
     for combo in observed_labels:
         if len(combo) != len(models):
             raise LabelError("each combination needs one label per component")
+        views.append((SummedEnergy(list(zip(tuned, combo))),
+                      SummedEnergy(list(zip(models, combo)))))
     state = None
     for _ in range(epochs):
-        for combo in observed_labels:
-            tuned_view = SummedEnergy(list(zip(tuned, combo)))
-            target_view = SummedEnergy(list(zip(models, combo)))
+        for tuned_view, target_view in views:
             if state is None:
                 state = AdamState.for_parameters(tuned_view.parameters())
             kl_finetune_step(tuned_view, target_view, cfg, state, rng)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ChainDivergedError, ConfigError, DimensionError,
-                     LabelError, checked)
+from .errors import ChainDivergedError, ConfigError, DimensionError, checked
 
 
 @dataclass
@@ -66,7 +65,7 @@ class LangevinConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO store of past chain states (plus optional labels).
+    """Fixed-capacity FIFO pool of past chain states to start chains from.
 
     New chains start from a stored state most of the time and from uniform
     noise on [0,1]^d otherwise; uniform_prob is that exception rate.
@@ -77,7 +76,6 @@ class ReplayBuffer:
         self.uniform_prob = checked("uniform_prob", uniform_prob, float,
                                     ge=0, le=1)
         self._data = None
-        self._labels = None
         self._size = 0
         self._next = 0
 
@@ -88,41 +86,25 @@ class ReplayBuffer:
     def dim(self):
         return None if self._data is None else self._data.shape[1]
 
-    @property
-    def labeled(self):
-        return self._labels is not None
-
-    def insert(self, samples, labels=None):
+    def insert(self, samples):
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 2:
             raise DimensionError("buffer entries must be a (n, d) batch")
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.intp)
-            if labels.shape != (samples.shape[0],):
-                raise LabelError("one label per inserted row required")
         if self._data is None:
             self._data = np.empty((self.capacity, samples.shape[1]))
-            if labels is not None:
-                self._labels = np.empty(self.capacity, dtype=np.intp)
         elif samples.shape[1] != self._data.shape[1]:
             raise DimensionError(
                 f"buffer holds dimension {self._data.shape[1]}, got {samples.shape[1]}")
-        if (labels is None) == (self._labels is not None):
-            raise LabelError("buffer cannot mix labeled and unlabeled entries")
-        if samples.shape[0] > self.capacity:
-            # only the newest `capacity` rows can survive
-            samples = samples[-self.capacity:]
-            if labels is not None:
-                labels = labels[-self.capacity:]
+        # only the newest `capacity` rows can survive
+        samples = samples[-self.capacity:]
         n = samples.shape[0]
         pos = (self._next + np.arange(n)) % self.capacity
         self._data[pos] = samples
-        if labels is not None:
-            self._labels[pos] = labels
         self._next = int((self._next + n) % self.capacity)
         self._size = min(self.capacity, self._size + n)
 
     def draw(self, n, rng):
+        """n stored states drawn uniformly with replacement, as a copy."""
         if self._size == 0:
             raise ConfigError("cannot draw from an empty buffer")
         idx = rng.integers(0, self._size, size=n)
@@ -130,22 +112,17 @@ class ReplayBuffer:
             rows = idx
         else:
             rows = (self._next + idx) % self.capacity
-        samples = self._data[rows].copy()
-        labels = self._labels[rows].copy() if self._labels is not None else None
-        return samples, labels
+        return self._data[rows].copy()
 
     def snapshot(self):
-        """Entries oldest-first, as (samples, labels-or-None) copies."""
+        """Entries oldest-first, as a copy."""
         if self._size == 0:
-            d = 0 if self._data is None else self._data.shape[1]
-            return np.empty((0, d)), (np.empty(0, dtype=np.intp) if self.labeled else None)
+            return np.empty((0, self.dim or 0))
         if self._size < self.capacity:
             order = np.arange(self._size)
         else:
             order = (self._next + np.arange(self.capacity)) % self.capacity
-        samples = self._data[order].copy()
-        labels = self._labels[order].copy() if self._labels is not None else None
-        return samples, labels
+        return self._data[order].copy()
 
 
 def init_batch(buffer, batch_size, d, rng):
@@ -167,16 +144,19 @@ def init_batch(buffer, batch_size, d, rng):
     if n_uni:
         x[from_uniform] = rng.uniform(size=(n_uni, d))
     if n_uni < batch_size:
-        drawn, _ = buffer.draw(batch_size - n_uni, rng)
-        x[~from_uniform] = drawn
+        x[~from_uniform] = buffer.draw(batch_size - n_uni, rng)
     return x, from_uniform
 
 
-def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0):
+def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0,
+                  record=None):
     """One sampling step; see the module docstring for the update rule.
 
     center is the reference state for the eps_box projection (defaults to
     x itself, so a standalone call cannot drift out of the box either).
+    record, when given, is a list that gets (x, unclipped, passed): the
+    gradient components the clip left alone, and the components whose
+    update passed the clamp and the mask (None when neither is set).
     """
     x = np.asarray(x, dtype=np.float64)
     g = net.grad_x(x, labels)
@@ -189,25 +169,34 @@ def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0):
     if cfg.eps_box is not None:
         ref = x if center is None else center
         new = np.clip(new, ref - cfg.eps_box, ref + cfg.eps_box)
+    passed = None
     if cfg.clamp is not None:
-        new = np.clip(new, cfg.clamp[0], cfg.clamp[1])
+        lo, hi = cfg.clamp
+        if record is not None:
+            passed = (new > lo) & (new < hi)
+        new = np.clip(new, lo, hi)
     if cfg.mask is not None:
         if cfg.mask.shape != (x.shape[1],):
             raise DimensionError(
                 f"mask shape {cfg.mask.shape} does not match dimension {x.shape[1]}")
+        passed = cfg.mask if passed is None else passed & cfg.mask
         new = np.where(cfg.mask, new, x)
+    if record is not None:
+        # a clipped component equals +-grad_clip, so this is exact
+        record.append((x, np.abs(g) < cfg.grad_clip, passed))
     return new
 
 
-def run_chain(init, net, cfg, rng, labels=None):
+def run_chain(init, net, cfg, rng, labels=None, record=None):
     """Apply cfg.steps Langevin steps from init; returns the final state.
-    The steps run on net.frozen(), as no weight changes within a chain."""
+    The steps run on net.frozen(), as no weight changes within a chain.
+    record, when given, gets one langevin_step entry per step."""
     net = net.frozen()
     x = np.array(init, dtype=np.float64, copy=True)
     center = x.copy() if cfg.eps_box is not None else None
     for k in range(cfg.steps):
         x = langevin_step(x, net, cfg, rng, labels=labels, center=center,
-                          step_index=k)
+                          step_index=k, record=record)
     return x
 
 

@@ -14,11 +14,11 @@ flow through the energy evaluations only: one reverse pass of the model
 kl_finetune_step differentiates through the sampler instead. Its loss is
 the frozen-snapshot energy of the chain's endpoint, pushing the sampler's
 output distribution toward the snapshot's low-energy regions (Du et al.
-2021, Improved Contrastive Divergence Training of EBMs). The chain runs
-in numpy and records each state; the snapshot's energy and gradient at
-the endpoint come from one grad_x call, and the reverse walk then takes,
-per step, one second-order product of the model through that step's
-grad_x.
+2021, Improved Contrastive Divergence Training of EBMs). The chain is
+the sampler's run_chain, recording each step; the snapshot's energy and
+gradient at the endpoint come from one grad_x call, and the reverse walk
+then takes, per step, one second-order product of the model through that
+step's grad_x.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ChainDivergedError, ContractError, DimensionError,
-                     TrainingDivergedError, checked)
+from .errors import (ContractError, DimensionError, TrainingDivergedError,
+                     checked)
 from .sampler import LangevinConfig, init_batch, run_chain
 
 
@@ -169,7 +169,7 @@ def train_step(net, batch, buffer, cfg, state, rng, labels=None):
     adam_step(net.parameters(), grads, state, cfg)
     if net.config.spectral_norm:
         net.spectral_update()
-    buffer.insert(x_neg, labels)
+    buffer.insert(x_neg)
 
     wall_ms = (time.perf_counter() - t0) * 1e3
     return StepReport(step=state.t,
@@ -182,13 +182,13 @@ def train_step(net, batch, buffer, cfg, state, rng, labels=None):
 def kl_finetune_loss(net, snapshot, langevin, rng, init, labels=None):
     """Loss and parameter gradients for one fine-tuning step.
 
-    Runs langevin.steps chain steps from init under net's current
-    parameters, with the noise drawn from rng as sampling draws it, and
-    scores the endpoint x_K with the frozen snapshot: loss =
-    mean(E_snap(x_K)). The noise is not reparameterized and init is a
-    constant, so the gradient flows through each step's drift alone.
-    Going back from a = grad E_snap(x_K) / n, each step zeroes a where its
-    clamp bound or the mask held the state, takes the model's reverse pass
+    Runs the chain with run_chain from init under net's current
+    parameters, so the steps and noise are sampling's own, and scores the
+    endpoint x_K with the frozen snapshot: loss = mean(E_snap(x_K)). The
+    noise is not reparameterized and init is a constant, so the gradient
+    flows through each step's drift alone. Going back from a =
+    grad E_snap(x_K) / n over the recorded steps, each step zeroes a where
+    its clamp bound or the mask held the state, takes the model's reverse pass
     with gradient cotangent -step_size * a on the unclipped components,
     adds the returned x-gradient to a and the parameter gradients to the
     total. Returns (loss value, gradient dict keyed like net.parameters()).
@@ -196,46 +196,20 @@ def kl_finetune_loss(net, snapshot, langevin, rng, init, labels=None):
     if langevin.eps_box is not None:
         raise ContractError(
             "eps_box projection is not supported in differentiated chains")
-    x = np.array(init, dtype=np.float64)
-    mask = langevin.mask
-    if mask is not None and mask.shape != (x.shape[1],):
-        raise DimensionError(
-            f"mask shape {mask.shape} does not match dimension {x.shape[1]}")
-    clip, lam = langevin.grad_clip, langevin.step_size
-    chain_net = net.frozen()
-    # per step: its state, the components the gradient clip left alone,
-    # and the components whose update went through (None: all of them)
     record = []
-    for k in range(langevin.steps):
-        g = chain_net.grad_x(x, labels)
-        if not np.all(np.isfinite(g)):
-            raise ChainDivergedError("energy gradient is not finite", k)
-        new = x - lam * np.clip(g, -clip, clip)
-        if langevin.noise > 0:
-            new = new + langevin.noise * rng.normal(size=x.shape)
-        passed = None
-        if langevin.clamp is not None:
-            lo, hi = langevin.clamp
-            passed = (new > lo) & (new < hi)
-            new = np.clip(new, lo, hi)
-        if mask is not None:
-            passed = mask if passed is None else passed & mask
-            new = np.where(mask, new, x)
-        record.append((x, np.abs(g) < clip, passed))
-        x = new
+    x = run_chain(init, net, langevin, rng, labels=labels, record=record)
 
     e_snap, g_snap = snapshot.grad_x(x, labels, with_energy=True)
     loss = float(np.mean(e_snap))
     if not np.isfinite(loss):
         raise TrainingDivergedError("fine-tuning loss is not finite")
     grads = {name: np.zeros_like(p) for name, p in net.parameters()}
-    if not record:
-        return loss, grads
     a = g_snap / x.shape[0]
     for x_k, unclipped, passed in reversed(record):
         if passed is not None:
             a = a * passed
-        gx, step_grads = net.backward(x_k, labels, c=-lam * (a * unclipped))
+        gx, step_grads = net.backward(
+            x_k, labels, c=-langevin.step_size * (a * unclipped))
         a = a + gx
         for name, g in step_grads.items():
             grads[name] += g

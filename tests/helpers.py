@@ -262,7 +262,6 @@ MALFORMED_MANIFESTS = {
     "float-buffer-count": _set("buffer", "count", 5.0),
     "huge-float-buffer-dim": _set("buffer", "dim", 1e300),
     "huge-float-buffer-capacity": _set("buffer", "capacity", 1e300),
-    "int-buffer-labeled": _set("buffer", "labeled", 0),
     "buffer-dim-mismatch": _set("buffer", "dim", 3),
     "buffer-count-over-capacity": _set("buffer", "capacity", 4),
     "buffer-too-large-to-allocate": _set("buffer", "capacity", 10 ** 30),

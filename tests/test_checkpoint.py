@@ -65,7 +65,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
         adam.v[name] = rng.uniform(size=adam.v[name].shape)
     adam.t = 17
     buffer = ReplayBuffer(capacity=50, uniform_prob=0.1)
-    buffer.insert(rng.uniform(size=(30, 3)), rng.integers(0, 2, size=30))
+    buffer.insert(rng.uniform(size=(30, 3)))
     train = TrainConfig(lr=3e-4, batch_size=16)
     dataset = {"kind": "mixture", "centers": [[0.3, 0.3, 0.3]],
                "sigma": 0.05, "n": 64}
@@ -93,8 +93,8 @@ def test_adam_and_buffer_state_survive(tmp_path):
     adam.t = 5
     buffer = ReplayBuffer(capacity=20, uniform_prob=0.25)
     # overfill so the FIFO wraps and order matters
-    buffer.insert(rng.uniform(size=(15, 3)), rng.integers(0, 3, size=15))
-    buffer.insert(rng.uniform(size=(12, 3)), rng.integers(0, 3, size=12))
+    buffer.insert(rng.uniform(size=(15, 3)))
+    buffer.insert(rng.uniform(size=(12, 3)))
 
     path = tmp_path / "full.ebm"
     save_checkpoint(path, net, adam=adam, buffer=buffer, step_count=5)
@@ -104,10 +104,7 @@ def test_adam_and_buffer_state_survive(tmp_path):
     for name, _ in net.parameters():
         assert np.array_equal(bundle.adam.m[name], adam.m[name])
         assert np.array_equal(bundle.adam.v[name], adam.v[name])
-    want_s, want_l = buffer.snapshot()
-    got_s, got_l = bundle.buffer.snapshot()
-    assert np.array_equal(want_s, got_s)
-    assert np.array_equal(want_l, got_l)
+    assert np.array_equal(buffer.snapshot(), bundle.buffer.snapshot())
     assert bundle.buffer.capacity == 20
     assert bundle.buffer.uniform_prob == 0.25
 
@@ -122,9 +119,9 @@ def test_unlabeled_and_empty_buffers_round_trip(tmp_path):
         save_checkpoint(path, net, buffer=buffer)
         got = load_checkpoint(path).buffer
         assert len(got) == len(buffer)
-        assert got.labeled == buffer.labeled
+        assert got.dim == buffer.dim
         if len(buffer):
-            assert np.array_equal(got.snapshot()[0], buffer.snapshot()[0])
+            assert np.array_equal(got.snapshot(), buffer.snapshot())
 
 
 def test_manifest_carries_run_facts(tmp_path):
@@ -156,6 +153,12 @@ def test_rejects_malformed_files(tmp_path):
                             + bytes(raw[8:]))
     with pytest.raises(ContractError):
         load_checkpoint(bad_version)
+
+    # version 1 stored a label per replay-buffer row
+    version_1 = tmp_path / "version-1.ebm"
+    version_1.write_bytes(MAGIC + struct.pack("<I", 1) + bytes(raw[8:]))
+    with pytest.raises(ContractError, match="format version 1$"):
+        load_checkpoint(version_1)
 
     truncated = tmp_path / "short.ebm"
     truncated.write_bytes(bytes(raw[:len(raw) - 5]))
@@ -206,7 +209,7 @@ MANIFEST_FIELDS = (
     [(section, None) for section in ("model", "adam", "buffer")]
     + [("model", f.name) for f in dataclasses.fields(ModelConfig)]
     + [("adam", "t")]
-    + [("buffer", key) for key in ("count", "dim", "labeled", "capacity",
+    + [("buffer", key) for key in ("count", "dim", "capacity",
                                    "uniform_prob")])
 
 
@@ -283,8 +286,8 @@ def test_fuzzed_bytes_load_or_are_a_contract_error(edits, keep):
        capacity=st.one_of(st.none(), st.integers(1, 6)),
        rows=st.lists(st.integers(0, 5), max_size=3),
        uniform_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
-# an empty buffer that has seen an empty batch keeps its dimension and
-# labeling; one that has seen none records dimension 0
+# an empty buffer that has seen an empty batch keeps its dimension; one
+# that has seen none records dimension 0
 @example(hidden=[3], input_dim=2, activation="swish", num_classes=2,
          spectral=True, power_iters=1, with_adam=False, capacity=1, rows=[0],
          uniform_prob=0.5, seed=0)
@@ -313,9 +316,7 @@ def test_save_load_save_is_byte_identical_for_random_states(
     if capacity is not None:
         buffer = ReplayBuffer(capacity=capacity, uniform_prob=uniform_prob)
         for n in rows:
-            buffer.insert(rng.uniform(size=(n, input_dim)),
-                          rng.integers(0, num_classes, size=n)
-                          if num_classes else None)
+            buffer.insert(rng.uniform(size=(n, input_dim)))
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.ebm", Path(tmp) / "b.ebm"
         save_checkpoint(first, net, seed=seed, step_count=seed % 7,

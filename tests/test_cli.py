@@ -15,6 +15,7 @@ import platform
 import re
 import resource
 import shutil
+import struct
 import subprocess
 import sys
 import textwrap
@@ -285,6 +286,25 @@ def test_compose_with_finetune_config(cond_ckpt, workdir):
     assert np.loadtxt(out, delimiter=",", ndmin=2).shape == (8, 2)
 
 
+@pytest.mark.parametrize("combos,category", [
+    ("[[0, 1.5]]", "label"), ("[[0, true]]", "label"), ('[[0, "1"]]', "label"),
+    ("5", "config"), ("[1, 2]", "config")],
+    ids=["fractional", "bool", "string", "scalar", "flat"])
+def test_bad_finetune_combos_report_one_error(cond_ckpt, workdir, capsys,
+                                              combos, category):
+    """A combination label must be a class index, and combos a list of
+    label lists; neither is truncated or converted."""
+    cfg = workdir / "ft-bad.yaml"
+    cfg.write_text(f"finetune:\n  epochs: 2\n  combos: {combos}\n")
+    code = main(["compose", "--checkpoints", str(cond_ckpt), str(cond_ckpt),
+                 "--labels", "0", "1", "--finetune-config", str(cfg),
+                 "--n", "8", "--steps", "20",
+                 "--out", str(workdir / "compft-bad.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error {category}:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -474,6 +494,21 @@ def test_malformed_manifest_reports_contract_error(workdir, capsys, case):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error contract:") and err.count("\n") == 1
+
+
+def test_version_1_checkpoint_reports_contract_error(workdir, capsys):
+    """Version 1 stored a label per replay-buffer row; such files are
+    refused with one line."""
+    good = workdir / "version-ok.ebm"
+    save_stateful_checkpoint(good)
+    old = workdir / "version-1.ebm"
+    raw = good.read_bytes()
+    old.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    code = main(["eval", "--checkpoint", str(old), "--metric",
+                 "logz-bracket", "--out", str(workdir / "v1.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error contract: unsupported checkpoint format version 1\n"
 
 
 def _set_top(key, value):

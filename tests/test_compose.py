@@ -91,8 +91,9 @@ def test_sum_validates_labels():
         SummedEnergy([(uncond, 1)])
     with pytest.raises(LabelError):
         SummedEnergy([(cond, None)])
-    with pytest.raises(LabelError):
-        SummedEnergy([(cond, 3)])
+    for label in (3, -1, 1.5, True, "1"):
+        with pytest.raises(LabelError):
+            SummedEnergy([(cond, label)])
     summed = SummedEnergy([(cond, 2)])
     x = np.random.default_rng(7).uniform(size=(4, 2))
     with pytest.raises(LabelError):
@@ -209,6 +210,11 @@ def test_finetune_validates_combination_arity():
     with pytest.raises(ConfigError):
         finetune_combination(nets, [(None, None)], _finetune_config(),
                              np.random.default_rng(24), epochs=-1)
+    # every combination is checked up front, even when no epoch runs
+    with pytest.raises(LabelError):
+        finetune_combination(nets, [(None, None), (1, None)],
+                             _finetune_config(), np.random.default_rng(25),
+                             epochs=0)
 
 
 # --------------------------------------- size and position sprite experts

@@ -1,10 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebmkit.errors import (ChainDivergedError, ConfigError, DimensionError,
-                           LabelError)
+from ebmkit.errors import ChainDivergedError, ConfigError, DimensionError
 from ebmkit.sampler import (LangevinConfig, ReplayBuffer, init_batch,
                             inpaint, langevin_step, refine_bounded, run_chain)
 
@@ -149,6 +150,32 @@ class TestRunChain:
         out = run_chain(init, net, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
 
+    @pytest.mark.parametrize("clamp,mask,eps_box,noise", itertools.product(
+        (None, (0.2, 0.8)), (None, [True, False]), (None, 0.05), (0.0, 0.01)))
+    def test_record_leaves_sampling_unchanged(self, clamp, mask, eps_box,
+                                              noise):
+        """A recorded chain returns the same bytes and leaves the generator
+        in the same state; it records every step's state, the exact
+        unclipped mask, and a pass-through mask when clamp or mask is set."""
+        net = four_mode_2d()
+        cfg = LangevinConfig(steps=5, step_size=1e-3, grad_clip=40.0,
+                             noise=noise, clamp=clamp, mask=mask,
+                             eps_box=eps_box)
+        init = np.random.default_rng(21).uniform(size=(16, 2))
+        plain_rng, recorded_rng = (np.random.default_rng(4) for _ in "ab")
+        plain = run_chain(init, net, cfg, plain_rng)
+        record = []
+        recorded = run_chain(init, net, cfg, recorded_rng, record=record)
+        assert recorded.tobytes() == plain.tobytes()
+        assert recorded_rng.random() == plain_rng.random()
+        assert len(record) == cfg.steps
+        np.testing.assert_array_equal(record[0][0], init)
+        for x_k, unclipped, passed in record:
+            np.testing.assert_array_equal(
+                unclipped, np.abs(net.grad_x(x_k)) < cfg.grad_clip)
+            assert (passed is None) == (clamp is None and mask is None)
+        assert 0 < np.mean([u.mean() for _, u, _ in record]) < 1
+
     def test_descent_trace_nonincreasing_without_noise(self):
         net = QuadraticEnergy(dim=3)
         cfg = LangevinConfig(steps=1, step_size=0.1, noise=0.0)
@@ -181,41 +208,20 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=2)
         buf.insert(np.array([[1.0], [2.0], [3.0]]))
         assert len(buf) == 2
-        samples, labels = buf.snapshot()
-        np.testing.assert_array_equal(samples, [[2.0], [3.0]])
-        assert labels is None
-
-    def test_labels_round_trip(self):
-        buf = ReplayBuffer(capacity=4)
-        buf.insert(np.arange(6.0).reshape(3, 2), labels=[0, 1, 2])
-        samples, labels = buf.snapshot()
-        np.testing.assert_array_equal(labels, [0, 1, 2])
-        drawn, dlabels = buf.draw(10, np.random.default_rng(0))
-        for row, lab in zip(drawn, dlabels):
-            np.testing.assert_array_equal(row, samples[labels == lab][0])
+        np.testing.assert_array_equal(buf.snapshot(), [[2.0], [3.0]])
 
     def test_many_inserts_keep_exactly_the_newest(self):
         buf = ReplayBuffer(capacity=10)
         for i in range(100):
             buf.insert(np.array([[float(i)]]))
-        samples, _ = buf.snapshot()
+        samples = buf.snapshot()
         np.testing.assert_array_equal(samples[:, 0], np.arange(90.0, 100.0))
 
     def test_oversized_insert_keeps_tail(self):
         buf = ReplayBuffer(capacity=3)
         buf.insert(np.arange(10.0)[:, None])
-        samples, _ = buf.snapshot()
+        samples = buf.snapshot()
         np.testing.assert_array_equal(samples[:, 0], [7.0, 8.0, 9.0])
-
-    def test_label_mixing_rejected(self):
-        buf = ReplayBuffer(capacity=4)
-        buf.insert(np.zeros((1, 2)), labels=[0])
-        with pytest.raises(LabelError):
-            buf.insert(np.zeros((1, 2)))
-        unlabeled = ReplayBuffer(capacity=4)
-        unlabeled.insert(np.zeros((1, 2)))
-        with pytest.raises(LabelError):
-            unlabeled.insert(np.zeros((1, 2)), labels=[0])
 
     def test_dimension_mismatch_rejected(self):
         buf = ReplayBuffer(capacity=4)
@@ -225,51 +231,38 @@ class TestReplayBuffer:
 
     def test_insert_restores_snapshot(self):
         buf = ReplayBuffer(capacity=5)
-        buf.insert(np.random.default_rng(0).uniform(size=(7, 2)),
-                   labels=np.arange(7) % 3)
-        samples, labels = buf.snapshot()
+        buf.insert(np.random.default_rng(0).uniform(size=(7, 2)))
+        samples = buf.snapshot()
         other = ReplayBuffer(capacity=5)
-        other.insert(samples, labels)
-        s2, l2 = other.snapshot()
-        np.testing.assert_array_equal(samples, s2)
-        np.testing.assert_array_equal(labels, l2)
+        other.insert(samples)
+        np.testing.assert_array_equal(samples, other.snapshot())
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(capacity=st.integers(1, 6), dim=st.integers(1, 3),
-       labeled=st.booleans(),
        batches=st.lists(st.integers(0, 8), min_size=1, max_size=8),
        seed=st.integers(0, 2 ** 16))
-def test_ring_invariants(capacity, dim, labeled, batches, seed):
+def test_ring_invariants(capacity, dim, batches, seed):
     """After any sequence of inserts the buffer holds exactly the newest
-    min(capacity, inserted) rows, oldest first, each with its own label,
-    and draws only return held rows with their labels."""
+    min(capacity, inserted) rows, oldest first, and draws only return
+    held rows."""
     buf = ReplayBuffer(capacity=capacity)
     rng = np.random.default_rng(seed)
-    rows, labels = [], []
+    rows = []
     for n in batches:
         start = len(rows)
         batch = np.arange(start, start + n, dtype=np.float64)[:, None] \
             + np.zeros((1, dim))
-        batch_labels = (np.arange(start, start + n) % 5) if labeled else None
-        buf.insert(batch, batch_labels)
+        buf.insert(batch)
         rows.extend(batch.tolist())
-        labels.extend([] if batch_labels is None else batch_labels.tolist())
         held = min(capacity, len(rows))
         assert len(buf) == held
-        samples, got_labels = buf.snapshot()
-        assert samples.tolist() == rows[len(rows) - held:]
-        if labeled:
-            assert got_labels.tolist() == labels[len(labels) - held:]
-        else:
-            assert got_labels is None
+        assert buf.snapshot().tolist() == rows[len(rows) - held:]
         if held:
-            drawn, drawn_labels = buf.draw(7, rng)
+            drawn = buf.draw(7, rng)
             ids = drawn[:, 0].astype(int)
             assert all(len(rows) - held <= i < len(rows) for i in ids)
             assert (drawn == drawn[:, :1]).all()
-            if labeled:
-                assert drawn_labels.tolist() == (ids % 5).tolist()
 
 
 class TestInitBatch:
