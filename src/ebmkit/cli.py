@@ -17,7 +17,6 @@ progress logging.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import io
 import logging
@@ -132,15 +131,20 @@ DATASET_DEFAULTS = {
 # ---------------------------------------------------------------------------
 # configuration
 
-@contextlib.contextmanager
-def _values_of(section):
-    """Report a config value of the wrong type, or text that does not
-    parse, as a ConfigError naming its section. Serves as a context
-    manager or as a decorator of the function that converts a section."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in {section}: {exc}") from None
+def _listed(key, value, what="a non-empty list", ok=lambda item: True):
+    """value, which must be a non-empty list whose items all pass ok;
+    what describes that in the error."""
+    if not (isinstance(value, list) and value and all(map(ok, value))):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _points(key, value):
+    """A non-empty list of numeric points of one dimension, as an array."""
+    _listed(key, value, "a non-empty list of points of one dimension",
+            lambda p: isinstance(p, list) and len(p) == len(value[0]))
+    return np.array([[checked(f"each {key} coordinate", c, float)
+                      for c in point] for point in value])
 
 
 def _merge(defaults, given, path):
@@ -218,13 +222,12 @@ def _sprite_labels(latents, field):
     return np.searchsorted(classes, values)
 
 
-@_values_of("dataset")
 def _build_dataset(spec, rng):
     """Materialize a dataset spec; returns a dict with train/test splits
     plus kind-specific extras."""
     kind = spec["kind"]
     if kind == "mixture":
-        centers = np.asarray(spec["centers"], dtype=np.float64)
+        centers = _points("dataset.centers", spec["centers"])
         x, y = gaussian_mixture(centers, spec["sigma"], spec["n"], rng)
         x2, y2 = gaussian_mixture(centers, spec["sigma"], spec["n_test"], rng)
         return {"train": (x, y), "test": (x2, y2), "centers": centers}
@@ -233,7 +236,11 @@ def _build_dataset(spec, rng):
         x2 = ring2d(spec["radius"], spec["thickness"], spec["n_test"], rng)
         return {"train": (x, None), "test": (x2, None)}
     if kind == "sprites":
-        kwargs = dict(shapes=list(spec["shapes"]), xs=spec["xs"],
+        _listed("dataset.shapes", spec["shapes"],
+                "a non-empty list of shape names", lambda s: isinstance(s, str))
+        for key in ("xs", "ys", "scales"):
+            _listed(f"dataset.{key}", spec[key])
+        kwargs = dict(shapes=spec["shapes"], xs=spec["xs"],
                       ys=spec["ys"], scales=spec["scales"],
                       n_per_combo=spec["n_per_combo"], noise=spec["noise"],
                       rng=rng)
@@ -432,12 +439,9 @@ def cmd_compose(args):
     rng = np.random.default_rng(args.seed)
     if args.finetune_config:
         cfg = load_run_config(args.finetune_config)["finetune"]
-        combos = cfg["combos"]
-        if not (combos and isinstance(combos, list)
-                and all(isinstance(c, list) for c in combos)):
-            raise ConfigError("finetune.combos must be a non-empty list of "
-                              f"label lists, got {combos!r}")
-        combos = [tuple(c) for c in combos]
+        combos = [tuple(c) for c in _listed(
+            "finetune.combos", cfg["combos"],
+            "a non-empty list of label lists", lambda c: isinstance(c, list))]
         tcfg = TrainConfig(lr=cfg["lr"], batch_size=cfg["batch_size"],
                            langevin=LangevinConfig(**cfg["chain"],
                                                    clamp=(0.0, 1.0)))
@@ -588,13 +592,12 @@ def cmd_eval(args):
 def cmd_continual(args):
     cfg = load_run_config(args.config, require=("continual",))
     cont = cfg["continual"]
-    with _values_of("continual"):
-        centers = np.asarray(cont["centers"], dtype=np.float64)
-        pairs = [tuple(p) for p in cont["pairs"]]
+    centers = _points("continual.centers", cont["centers"])
+    pairs = [tuple(p) for p in _listed(
+        "continual.pairs", cont["pairs"], "a non-empty list of class lists",
+        lambda p: isinstance(p, list))]
     steps_per_task = checked("continual.steps_per_task",
                              cont["steps_per_task"], int, ge=0)
-    if centers.ndim != 2:
-        raise ConfigError("continual.centers must be a list of points")
     k = centers.shape[0]
     model_sec = dict(cfg["model"])
     if model_sec["num_classes"] == 0:

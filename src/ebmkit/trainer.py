@@ -18,7 +18,7 @@ output distribution toward the snapshot's low-energy regions (Du et al.
 the sampler's run_chain, recording each step; the snapshot's energy and
 gradient at the endpoint come from one grad_x call, and the reverse walk
 then takes, per step, one second-order product of the model through that
-step's grad_x.
+step's grad_x, skipping the steps whose tangent is all zeros.
 """
 
 from __future__ import annotations
@@ -189,9 +189,14 @@ def kl_finetune_loss(net, snapshot, langevin, rng, init, labels=None):
     flows through each step's drift alone. Going back from a =
     grad E_snap(x_K) / n over the recorded steps, each step zeroes a where
     its clamp bound or the mask held the state, takes the model's reverse pass
-    with gradient cotangent -step_size * a on the unclipped components,
+    with gradient cotangent c = -step_size * a on the unclipped components,
     adds the returned x-gradient to a and the parameter gradients to the
     total. Returns (loss value, gradient dict keyed like net.parameters()).
+    A step with c all zeros (the clip, the clamp or the mask held every
+    component) takes no pass. That is exact: a pass with c = 0 and no
+    energy cotangent returns only zeros when its states are finite, and the
+    chain checked that step's gradient; adding zeros changes no nonzero
+    entry of a, nor any entry of the totals, which start at +0.
     """
     if langevin.eps_box is not None:
         raise ContractError(
@@ -208,11 +213,12 @@ def kl_finetune_loss(net, snapshot, langevin, rng, init, labels=None):
     for x_k, unclipped, passed in reversed(record):
         if passed is not None:
             a = a * passed
-        gx, step_grads = net.backward(
-            x_k, labels, c=-langevin.step_size * (a * unclipped))
-        a = a + gx
-        for name, g in step_grads.items():
-            grads[name] += g
+        c = -langevin.step_size * (a * unclipped)
+        if c.any():
+            gx, step_grads = net.backward(x_k, labels, c=c)
+            a = a + gx
+            for name, g in step_grads.items():
+                grads[name] += g
     return loss, grads
 
 

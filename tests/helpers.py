@@ -4,11 +4,12 @@ Everything here is deliberately independent of the package internals:
 finite differences and brute-force evaluation only, so tests compare the
 library against arithmetic a reviewer can redo by hand. Analytic energy
 models and malformed-checkpoint builders are shared here too, and so are
-the earlier forms of five kernels (the masked sigmoid with a two-sigmoid
+the earlier forms of six kernels (the masked sigmoid with a two-sigmoid
 input gradient, the out-of-place network pass with its reverse passes,
 the MALA sweep that recomputes energies and gradients, the quadrature
-that scores its whole grid in one energy call, and the PGD attack that
-scores classes with separate energy calls), kept as bit-exact oracles
+that scores its whole grid in one energy call, the PGD attack that
+scores classes with separate energy calls, and the fine-tuning reverse
+walk that takes a reverse pass at every step), kept as bit-exact oracles
 for their replacements. The taped (autodiff) forms
 of the contrastive gradient and of the differentiated fine-tuning chain
 are the references for the closed-form reverse passes, and a composite
@@ -684,6 +685,28 @@ def taped_kl_finetune_loss(model, snapshot, langevin, rng, init, labels=None):
             return float(loss.data), {name: np.zeros_like(p)
                                       for name, p in model.parameters()}
         return float(loss.data), _leaf_gradients(model, loss, params)
+
+
+def full_walk_kl_finetune_loss(model, snapshot, langevin, rng, init,
+                               labels=None):
+    """trainer.kl_finetune_loss as it was before it skipped the steps
+    with an all-zero tangent: the reverse walk calls model.backward at
+    every recorded step."""
+    from ebmkit.sampler import run_chain
+    record = []
+    x = run_chain(init, model, langevin, rng, labels=labels, record=record)
+    e_snap, g_snap = snapshot.grad_x(x, labels, with_energy=True)
+    grads = {name: np.zeros_like(p) for name, p in model.parameters()}
+    a = g_snap / x.shape[0]
+    for x_k, unclipped, passed in reversed(record):
+        if passed is not None:
+            a = a * passed
+        gx, step_grads = model.backward(
+            x_k, labels, c=-langevin.step_size * (a * unclipped))
+        a = a + gx
+        for name, g in step_grads.items():
+            grads[name] += g
+    return float(np.mean(e_snap)), grads
 
 
 def simpson_log_partition(net, lo, hi, intervals):

@@ -593,6 +593,49 @@ def test_mistyped_continual_classes_report_config_error(workdir, capsys):
     assert err.startswith("error config:") and err.count("\n") == 1
 
 
+# Config values that must be non-empty lists, each with the key its error
+# names.
+UNLISTED_VALUES = {
+    "sprites-scalar-shapes": ("train", "dataset:\n  kind: sprites\n"
+                              "  shapes: 5\n", "dataset.shapes"),
+    "sprites-nested-shapes": ("train", "dataset:\n  kind: sprites\n"
+                              "  shapes: [[square]]\n", "dataset.shapes"),
+    "sprites-empty-shapes": ("train", "dataset:\n  kind: sprites\n"
+                             "  shapes: []\n", "dataset.shapes"),
+    "sprites-empty-xs": ("train", "dataset:\n  kind: sprites\n  xs: []\n",
+                         "dataset.xs"),
+    "sprites-scalar-xs": ("train", "dataset:\n  kind: sprites\n  xs: 0.5\n",
+                          "dataset.xs"),
+    "sprites-scalar-scales": ("train", "dataset:\n  kind: sprites\n"
+                              "  scales: 0.3\n", "dataset.scales"),
+    "mixture-string-coordinate": ("train", "dataset:\n  kind: mixture\n"
+                                  "  centers: [[0.3, abc]]\n",
+                                  "dataset.centers"),
+    "mixture-ragged-centers": ("train", "dataset:\n  kind: mixture\n"
+                               "  centers: [[0.3, 0.5], [0.7]]\n",
+                               "dataset.centers"),
+    "mixture-flat-centers": ("train", "dataset:\n  kind: mixture\n"
+                             "  centers: [0.3, 0.7]\n", "dataset.centers"),
+    "continual-scalar-centers": ("continual", "continual:\n  centers: 7\n",
+                                 "continual.centers"),
+    "continual-scalar-pairs": ("continual", "continual:\n  pairs: 7\n",
+                               "continual.pairs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLISTED_VALUES))
+def test_unlisted_value_reports_config_error(workdir, capsys, case):
+    command, text, key = UNLISTED_VALUES[case]
+    cfg = workdir / f"unlisted-{case}.yaml"
+    cfg.write_text(text)
+    out = workdir / f"unlisted-{case}.out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error config: ") and err.count("\n") == 1
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # Fractional counts, in each section that feeds a data generator.
 FRACTIONAL_COUNTS = {
     "mixture-n": ("train", "dataset:\n  kind: mixture\n  n: 2.5\n"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import hypothesis
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebmkit.compose import SummedEnergy
@@ -12,8 +13,9 @@ from ebmkit.trainer import (AdamState, TrainConfig, adam_step,
                             contrastive_gradient, contrastive_loss,
                             kl_finetune_loss, kl_finetune_step, train_step)
 
-from helpers import (TapedQuadratic, central_diff, ks_oracle, relative_error,
-                     taped_contrastive_gradient, taped_kl_finetune_loss)
+from helpers import (TapedQuadratic, central_diff, full_walk_kl_finetune_loss,
+                     ks_oracle, relative_error, taped_contrastive_gradient,
+                     taped_kl_finetune_loss)
 
 
 class TestContrastiveLoss:
@@ -482,3 +484,123 @@ def test_kl_finetune_gradient_matches_tape_and_finite_differences(
 
     for name, p in model.parameters():
         assert relative_error(grads[name], central_diff(f, p)) < 1e-4, name
+
+
+# -- skipping the reverse passes of zero-tangent steps ------------------------
+
+def assert_same_bits(loss, grads, ref_loss, ref):
+    assert np.array_equal(loss, ref_loss)
+    assert np.signbit(loss) == np.signbit(ref_loss)
+    assert grads.keys() == ref.keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, ref[name]), name
+        assert np.array_equal(np.signbit(g), np.signbit(ref[name])), name
+
+
+@hypothesis.seed(1903)
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=st.integers(1, 4), steps=st.integers(0, 6),
+       log_step=st.floats(-6.0, 0.7),
+       clip=st.sampled_from(("all", "binding", "loose")),
+       clamp=st.sampled_from(("off", "on", "cornered")), masked=st.booleans(),
+       **model_shapes)
+@example(rows=4, steps=0, log_step=0.0, clip="loose", clamp="off",
+         masked=False, widths=[2, 3], activation="swish", num_classes=0,
+         spectral=False, parts=0, seed=1)
+@example(rows=4, steps=5, log_step=0.7, clip="binding", clamp="cornered",
+         masked=True, widths=[2, 4], activation="leaky_relu", num_classes=3,
+         spectral=True, parts=0, seed=2)
+@example(rows=4, steps=3, log_step=-6.0, clip="loose", clamp="on",
+         masked=False, widths=[2, 4], activation="swish", num_classes=3,
+         spectral=False, parts=2, seed=3)
+# walks that skip a step and then take a reverse pass at an earlier one
+@example(rows=2, steps=6, log_step=0.5, clip="binding", clamp="off",
+         masked=False, widths=[1, 3], activation="leaky_relu", num_classes=3,
+         spectral=False, parts=2, seed=43651)
+@example(rows=3, steps=6, log_step=-0.3, clip="binding", clamp="on",
+         masked=True, widths=[1, 1, 3], activation="swish", num_classes=0,
+         spectral=True, parts=0, seed=62033)
+@example(rows=3, steps=6, log_step=0.0, clip="binding", clamp="cornered",
+         masked=True, widths=[3, 2], activation="leaky_relu", num_classes=3,
+         spectral=True, parts=2, seed=33415)
+@example(rows=1, steps=6, log_step=-1.0, clip="binding", clamp="on",
+         masked=False, widths=[3, 4, 2], activation="swish", num_classes=3,
+         spectral=False, parts=0, seed=44731)
+def test_kl_finetune_loss_matches_the_full_walk_bit_for_bit(
+        widths, activation, num_classes, spectral, parts, seed, rows, steps,
+        log_step, clip, clamp, masked):
+    """Skipping a step whose tangent is all zeros changes no bit of the
+    loss or of any gradient, sign bits of zeros included. The clip
+    modes clip every component, about half of them at the start, or
+    none; step sizes down to 1e-6 give tangents that are tiny but not
+    zero, and "cornered" chains start on the corners of the clamp's
+    box."""
+    step_size = 10.0 ** log_step
+    rng = np.random.default_rng(seed)
+    d = widths[0]
+    model, labels = random_model(widths, activation, num_classes, spectral,
+                                 parts, rng, rows)
+    snapshot = model.clone()
+    for _, p in snapshot.parameters():
+        p += 0.3 * rng.normal(size=p.shape)
+    init = rng.uniform(size=(rows, d))
+    if clamp == "cornered":
+        init = np.round(init)
+    magnitude = float(np.median(np.abs(model.grad_x(init, labels))))
+    grad_clip = {"all": 1e-12, "binding": max(0.9 * magnitude, 1e-6),
+                 "loose": 1e3}[clip]
+    lang = LangevinConfig(steps=steps, step_size=step_size, noise=0.01,
+                          grad_clip=grad_clip,
+                          clamp=None if clamp == "off" else (0.0, 1.0),
+                          mask=rng.random(d) < 0.5 if masked else None)
+    loss, grads = kl_finetune_loss(model, snapshot, lang,
+                                   np.random.default_rng(seed), init, labels)
+    ref_loss, ref = full_walk_kl_finetune_loss(
+        model, snapshot, lang, np.random.default_rng(seed), init, labels)
+    assert_same_bits(loss, grads, ref_loss, ref)
+
+
+class TestZeroTangentSkip:
+    @pytest.fixture
+    def backward_calls(self, monkeypatch):
+        calls = []
+        backward = EnergyNet.backward
+
+        def counted(net, *args, **kwargs):
+            calls.append(net)
+            return backward(net, *args, **kwargs)
+
+        monkeypatch.setattr(EnergyNet, "backward", counted)
+        return calls
+
+    def pair(self):
+        parts = [(tiny_net(seed=21, widths=(2, 8, 1)), None),
+                 (tiny_net(seed=22, widths=(2, 8, 1)), None)]
+        return SummedEnergy(parts), SummedEnergy(parts).clone()
+
+    def test_fully_clipped_chain_takes_no_reverse_pass(self, backward_calls):
+        model, snapshot = self.pair()
+        lang = LangevinConfig(steps=6, step_size=0.5, noise=0.01,
+                              grad_clip=1e-12, clamp=(0.0, 1.0))
+        init = np.random.default_rng(23).uniform(size=(5, 2))
+        loss, grads = kl_finetune_loss(model, snapshot, lang,
+                                       np.random.default_rng(24), init)
+        assert backward_calls == []
+        for name, g in grads.items():
+            assert np.all(g == 0.0) and not np.any(np.signbit(g)), name
+        ref_loss, ref = full_walk_kl_finetune_loss(
+            model, snapshot, lang, np.random.default_rng(24), init)
+        assert len(backward_calls) == 6 * 2
+        assert_same_bits(loss, grads, ref_loss, ref)
+
+    def test_free_chain_takes_one_pass_per_step_and_component(
+            self, backward_calls):
+        model, snapshot = self.pair()
+        for _, p in snapshot.parameters():
+            p += 0.3
+        lang = LangevinConfig(steps=6, step_size=0.05, noise=0.01,
+                              grad_clip=1e3)
+        init = np.random.default_rng(25).uniform(size=(5, 2))
+        kl_finetune_loss(model, snapshot, lang, np.random.default_rng(26),
+                         init)
+        assert len(backward_calls) == 6 * 2
