@@ -459,6 +459,17 @@ def _eval_logz(args, bundle, rng):
         raise ConfigError("logz-bracket needs an unconditional model")
     cfg = AISConfig(chains=args.chains, temps=args.temps,
                     transitions=args.transitions, step_size=args.mala_step)
+    # the quadrature goes first, so a grid past its cell cap fails before
+    # the estimators run; it draws nothing from rng
+    quadrature = []
+    d = net.config.input_dim
+    if d <= 2:
+        resolution = args.quad_resolution
+        if resolution is None:
+            resolution = 1e-4 if d == 1 else 5e-3
+        truth = log_partition_quadrature(net, (0.0, 1.0), resolution)
+        quadrature.append(metric_csv_row("logz_quadrature", truth,
+                                         resolution=resolution))
     if args.data_file:
         exact = _read_matrix(args.data_file)
     elif bundle.buffer is not None and len(bundle.buffer):
@@ -473,17 +484,8 @@ def _eval_logz(args, bundle, rng):
              "seed": args.seed}
     lower = ais_logZ(net, cfg, rng)[0]
     upper = raise_logZ(net, cfg, rng, exact)
-    rows = [metric_csv_row("logz_lower", lower, **setup),
-            metric_csv_row("logz_upper", upper, **setup)]
-    d = net.config.input_dim
-    if d <= 2:
-        resolution = args.quad_resolution
-        if resolution is None:
-            resolution = 1e-4 if d == 1 else 5e-3
-        truth = log_partition_quadrature(net, (0.0, 1.0), resolution)
-        rows.append(metric_csv_row("logz_quadrature", truth,
-                                   resolution=resolution))
-    return rows
+    return [metric_csv_row("logz_lower", lower, **setup),
+            metric_csv_row("logz_upper", upper, **setup)] + quadrature
 
 
 def _marginal_energy(net, x):
@@ -716,7 +718,10 @@ _EPS = _flag("eps", float, ge=0)
 
 def _radii(text):
     """--eps: comma-separated radii; a 0 row reports clean accuracy."""
-    return [_EPS(tok) for tok in text.split(",") if tok]
+    radii = [_EPS(tok) for tok in text.split(",") if tok]
+    if not radii:
+        raise argparse.ArgumentTypeError("needs at least one radius")
+    return radii
 
 
 def _add_sampling_flags(p, default_steps=60):

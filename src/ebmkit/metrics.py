@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,10 @@ __all__ = [
 # the peak resident size of `eval --metric logz-bracket` 6 MB larger.
 QUADRATURE_CHUNK = 1024
 
+# Most grid cells a quadrature builds; the CLI's default resolutions make
+# 10**4 (1-D) and 4 * 10**4 (2-D).
+QUADRATURE_MAX_CELLS = 2 ** 22
+
 
 def log_partition_quadrature(net, bounds, resolution):
     """log of the midpoint-rule integral of exp(-E) over a box.
@@ -76,6 +81,13 @@ def log_partition_quadrature(net, bounds, resolution):
     if not np.all(bounds[:, 0] < bounds[:, 1]):
         raise ConfigError("each bound needs lo < hi")
     resolution = checked("resolution", resolution, float, gt=0)
+    # Python floats: an overflow is inf, without a numpy warning
+    cells = math.prod(max(1.0, round((hi - lo) / resolution, 0))
+                      for lo, hi in bounds.tolist())
+    if cells > QUADRATURE_MAX_CELLS:
+        raise ConfigError(f"resolution {resolution:g} makes a grid of "
+                          f"{cells:.3g} cells, more than "
+                          f"{QUADRATURE_MAX_CELLS}")
 
     axes = []
     for lo, hi in bounds:
@@ -397,7 +409,8 @@ def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
 
     Logits are negative per-class energies. Deterministic: iterates start
     at x itself (no random restart). Every step is projected back to the
-    eps-ball around the input and to the unit cube.
+    eps-ball around the input and to the unit cube. A step that leaves
+    the iterate unchanged ends the attack, as every later one would too.
     """
     eps = checked("eps", eps, float, gt=0)
     steps = checked("steps", steps, int, ge=0)
@@ -426,15 +439,18 @@ def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
             coeff = (y == c).astype(np.float64) - probs[:, c]
             grad += coeff[:, None] * g
         if norm == "linf":
-            adv = adv + step_size * np.sign(grad)
-            adv = x0 + np.clip(adv - x0, -eps, eps)
+            new = adv + step_size * np.sign(grad)
+            new = x0 + np.clip(new - x0, -eps, eps)
         else:
             norms = np.linalg.norm(grad, axis=1, keepdims=True)
-            adv = adv + step_size * grad / np.maximum(norms, 1e-12)
-            delta = adv - x0
+            new = adv + step_size * grad / np.maximum(norms, 1e-12)
+            delta = new - x0
             dn = np.linalg.norm(delta, axis=1, keepdims=True)
-            adv = x0 + delta * np.minimum(1.0, eps / np.maximum(dn, 1e-12))
-        adv = np.clip(adv, 0.0, 1.0)
+            new = x0 + delta * np.minimum(1.0, eps / np.maximum(dn, 1e-12))
+        new = np.clip(new, 0.0, 1.0)
+        if np.array_equal(new, adv):
+            break
+        adv = new
     return adv
 
 

@@ -31,7 +31,8 @@ input_dim, num_classes and spectral_norm. grad_x with with_energy=True
 returns (energy, gradient) at the same points; callers that need both
 (the MALA sweeps, PGD, the fine-tuning loss) take them from that one
 call. frozen() returns the model for evaluations under unchanged weights
-(stand-ins return themselves; see EnergyNet.frozen). Trainable models add
+(stand-ins return themselves; see EnergyNet.frozen); an evaluation
+depends on the weights and its arguments alone. Trainable models add
 parameters, backward, clone and, when spectral_norm is set,
 spectral_update.
 """
@@ -167,9 +168,8 @@ class EnergyNet:
     def __init__(self, config, layers):
         self.config = config
         self.layers = layers
-        # frozen() views only: the effective weights and the memo
+        # frozen() views only: the effective weights
         self._w_effs = None
-        self._memo = None
 
     @classmethod
     def init(cls, config, rng):
@@ -265,22 +265,12 @@ class EnergyNet:
 
     def frozen(self):
         """A view of this net for evaluations under unchanged weights. It
-        shares the layers and takes the effective weights once. While calls
-        come at the same bits of x, it keeps a FiLM first layer (label-free)
-        and each label array's (energy, gradient); a new x drops them before
-        anything is computed. A weight update makes earlier views stale."""
+        shares the layers and takes the effective weights once; it keeps
+        nothing from one call to the next. A weight update makes earlier
+        views stale."""
         view = type(self)(self.config, self.layers)
         view._w_effs = self._weights()
-        view._memo = {}
         return view
-
-    def _memo_at(self, x):
-        """A view's memo for input x; None on the live net."""
-        memo = self._memo
-        if memo is not None and memo.get("x") != (key := x.tobytes()):
-            memo.clear()
-            memo["x"] = key
-        return memo
 
     def _taped_effective_weight(self, layer, w_t):
         """W / (u^T W v) with u, v fixed at their current estimates, so
@@ -315,32 +305,21 @@ class EnergyNet:
             raise LabelError("label out of range")
         return labels
 
-    def _hidden(self, x, labels, w_effs, derivs=None, gains=None, memo=None):
+    def _hidden(self, x, labels, w_effs, derivs=None, gains=None):
         """numpy pass through the hidden layers with the given effective
         weights; appends each activation derivative to derivs and each
         layer's gathered FiLM gain (None without FiLM) to gains when lists
-        are given. A memo supplies or keeps a FiLM first layer."""
+        are given."""
         if labels is not None and labels.size and (labels == labels[0]).all():
             # one class for every row: its FiLM row broadcasts, ungathered
             labels = labels[:1]
         kind, h = self.config.activation, x
-        for i, (layer, w) in enumerate(zip(self.layers[:-1], w_effs)):
-            kept = i == 0 and memo is not None and layer.gamma is not None
-            if kept:
-                if "first" not in memo:
-                    d = []
-                    memo["first"] = (_act(_affine(h, w, layer.b), kind, d),
-                                     d[0])
-                h, d = memo["first"]
-                if derivs is not None:
-                    derivs.append(d)
-            else:
-                h = _act(_affine(h, w, layer.b), kind, derivs)
+        for layer, w in zip(self.layers[:-1], w_effs):
+            h = _act(_affine(h, w, layer.b), kind, derivs)
             gain = None
             if layer.gamma is not None:
                 gain = layer.gamma[labels]
-                # a kept activation is read again by later calls
-                h = h * gain if kept else np.multiply(h, gain, out=h)
+                h *= gain
                 h += layer.beta[labels]
             if gains is not None:
                 gains.append(gain)
@@ -355,7 +334,7 @@ class EnergyNet:
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
         w_effs = self._weights()
-        h = self._hidden(x, labels, w_effs, memo=self._memo_at(x))
+        h = self._hidden(x, labels, w_effs)
         return self._head(h, w_effs)
 
     def grad_x(self, x, labels=None, *, with_energy=False):
@@ -366,14 +345,9 @@ class EnergyNet:
         """
         x = np.asarray(x, dtype=np.float64)
         labels = self._check_inputs(x, labels)
-        memo = self._memo_at(x)
-        key = None if labels is None else labels.tobytes()
-        if memo is not None and key in memo:
-            e, g = (a.copy() for a in memo[key])
-            return (e, g) if with_energy else g
         w_effs = self._weights()
         derivs, gains = [], []
-        h = self._hidden(x, labels, w_effs, derivs, gains, memo)
+        h = self._hidden(x, labels, w_effs, derivs, gains)
         g = w_effs[-1].T    # one row; the products broadcast it
         for i in range(len(self.layers) - 2, -1, -1):
             if gains[i] is not None:
@@ -382,10 +356,9 @@ class EnergyNet:
             g = g @ w_effs[i].T
         if len(self.layers) == 1:
             g = np.repeat(g, x.shape[0], axis=0)
-        e = self._head(h, w_effs) if with_energy or memo is not None else None
-        if memo is not None:
-            memo[key] = (e.copy(), g.copy())
-        return (e, g) if with_energy else g
+        if with_energy:
+            return self._head(h, w_effs), g
+        return g
 
     def backward(self, x, labels=None, r=None, c=None):
         """Gradients of phi = sum_i r[i] E(x[i]) + sum_i c[i] . grad_x E(x[i]).

@@ -149,8 +149,10 @@ def init_batch(buffer, batch_size, d, rng):
 
 
 def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0,
-                  record=None):
+                  record=None, grad=None):
     """One sampling step; see the module docstring for the update rule.
+    Returns (new state, energy gradient at x); grad, when given, is that
+    gradient already taken, in place of the net.grad_x(x, labels) call.
 
     center is the reference state for the eps_box projection (defaults to
     x itself, so a standalone call cannot drift out of the box either).
@@ -159,11 +161,11 @@ def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0,
     update passed the clamp and the mask (None when neither is set).
     """
     x = np.asarray(x, dtype=np.float64)
-    g = net.grad_x(x, labels)
+    g = net.grad_x(x, labels) if grad is None else grad
     if not np.all(np.isfinite(g)):
         raise ChainDivergedError("energy gradient is not finite", step_index)
-    g = np.clip(g, -cfg.grad_clip, cfg.grad_clip)
-    new = x - cfg.step_size * g
+    clipped = np.clip(g, -cfg.grad_clip, cfg.grad_clip)
+    new = x - cfg.step_size * clipped
     if cfg.noise > 0:
         new = new + cfg.noise * rng.normal(size=x.shape)
     if cfg.eps_box is not None:
@@ -183,20 +185,23 @@ def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0,
         new = np.where(cfg.mask, new, x)
     if record is not None:
         # a clipped component equals +-grad_clip, so this is exact
-        record.append((x, np.abs(g) < cfg.grad_clip, passed))
-    return new
+        record.append((x, np.abs(clipped) < cfg.grad_clip, passed))
+    return new, g
 
 
 def run_chain(init, net, cfg, rng, labels=None, record=None):
     """Apply cfg.steps Langevin steps from init; returns the final state.
-    The steps run on net.frozen(), as no weight changes within a chain.
-    record, when given, gets one langevin_step entry per step."""
+    The steps run on net.frozen(), as no weight changes within a chain,
+    and a step that left the state unchanged hands its gradient to the
+    next. record, when given, gets one langevin_step entry per step."""
     net = net.frozen()
     x = np.array(init, dtype=np.float64, copy=True)
     center = x.copy() if cfg.eps_box is not None else None
+    g = None
     for k in range(cfg.steps):
-        x = langevin_step(x, net, cfg, rng, labels=labels, center=center,
-                          step_index=k, record=record)
+        new, g = langevin_step(x, net, cfg, rng, labels=labels, center=center,
+                               step_index=k, record=record, grad=g)
+        x, g = new, (g if np.array_equal(new, x) else None)
     return x
 
 

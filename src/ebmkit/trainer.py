@@ -223,19 +223,17 @@ def kl_finetune_loss(net, snapshot, langevin, rng, init, labels=None):
 
 
 def kl_finetune_step(net, snapshot, cfg, state, rng, *, langevin=None,
-                     init=None, labels=None, batch_size=None):
+                     init=None):
     """Differentiate through the sampler and Adam-update the parameters.
 
     snapshot provides the frozen target energy; langevin defaults to
-    cfg.langevin. init defaults to uniform noise on [0,1]^d. Returns the
-    scalar loss.
+    cfg.langevin. init defaults to cfg.batch_size rows of uniform noise
+    on [0,1]^d. Returns the scalar loss.
     """
     langevin = cfg.langevin if langevin is None else langevin
     if init is None:
-        n = cfg.batch_size if batch_size is None else batch_size
-        init = rng.uniform(size=(n, net.config.input_dim))
-    loss, grads = kl_finetune_loss(net, snapshot, langevin, rng, init,
-                                   labels=labels)
+        init = rng.uniform(size=(cfg.batch_size, net.config.input_dim))
+    loss, grads = kl_finetune_loss(net, snapshot, langevin, rng, init)
     adam_step(net.parameters(), grads, state, cfg)
     if net.config.spectral_norm:
         net.spectral_update()

@@ -4,11 +4,12 @@ Everything here is deliberately independent of the package internals:
 finite differences and brute-force evaluation only, so tests compare the
 library against arithmetic a reviewer can redo by hand. Analytic energy
 models and malformed-checkpoint builders are shared here too, and so are
-the earlier forms of six kernels (the masked sigmoid with a two-sigmoid
+the earlier forms of seven kernels (the masked sigmoid with a two-sigmoid
 input gradient, the out-of-place network pass with its reverse passes,
 the MALA sweep that recomputes energies and gradients, the quadrature
-that scores its whole grid in one energy call, the PGD attack that
-scores classes with separate energy calls, and the fine-tuning reverse
+that scores its whole grid in one energy call, the Langevin chain that
+takes a gradient at every step, the PGD attack that scores classes with
+separate energy calls and runs every step, and the fine-tuning reverse
 walk that takes a reverse pass at every step), kept as bit-exact oracles
 for their replacements. The taped (autodiff) forms
 of the contrastive gradient and of the differentiated fine-tuning chain
@@ -547,12 +548,27 @@ class CallCounter:
         return self.net.grad_x(x, labels, with_energy=with_energy)
 
 
+def stepwise_chain(init, net, cfg, rng, labels=None, record=None):
+    """sampler.run_chain as it was before it handed a stalled step's
+    gradient on: every step takes its own grad_x call."""
+    from ebmkit.sampler import langevin_step
+
+    net = net.frozen()
+    x = np.array(init, dtype=np.float64, copy=True)
+    center = x.copy() if cfg.eps_box is not None else None
+    for k in range(cfg.steps):
+        x, _ = langevin_step(x, net, cfg, rng, labels=labels, center=center,
+                             step_index=k, record=record)
+    return x
+
+
 def pgd_attack_reference(net, x, y_true, eps, steps=20, step_size=None,
                          norm="linf"):
     """metrics.pgd_attack as it was before it took the class energies
-    from its gradient calls: every step scores all classes with
-    metrics.class_energies (K energy calls), then takes K grad_x calls at
-    the same point. Argument checks are left to the library."""
+    from its gradient calls and stopped at a repeated iterate: every one
+    of the steps scores all classes with metrics.class_energies (K energy
+    calls), then takes K grad_x calls at the same point. Argument checks
+    are left to the library."""
     from ebmkit.metrics import class_energies
 
     if step_size is None:

@@ -675,6 +675,8 @@ BAD_FLAGS = {
     "attack-negative-n": ("cond", ["attack", "--n", "-1"], "--n"),
     "attack-zero-n": ("cond", ["attack", "--n", "0"], "--n"),
     "attack-unparsable-eps": ("cond", ["attack", "--eps", "a,b"], "--eps"),
+    "attack-empty-eps": ("cond", ["attack", "--eps", ""], "--eps"),
+    "attack-comma-eps": ("cond", ["attack", "--eps", ","], "--eps"),
     "coverage-negative-n": ("cond", ["eval", "--metric", "mode-coverage",
                                      "--n", "-5"], "--n"),
     "rollout-zero-horizon": ("cond", ["eval", "--metric", "frechet-rollout",
@@ -687,6 +689,11 @@ BAD_FLAGS = {
         "mixture", ["eval", "--metric", "logz-bracket",
                     "--quad-resolution", value], "--quad-resolution")
        for value in ("0", "-0.01", "nan", "inf")},
+    # past the quadrature's cell cap; a 2049 x 2049 grid is just past it
+    **{f"logz-quad-resolution-{value}": (
+        "mixture", ["eval", "--metric", "logz-bracket",
+                    "--quad-resolution", value], "resolution")
+       for value in ("1e-300", str(1.0 / 2049))},
     # non-finite chain and MALA values are rejected by the configs, whose
     # messages name the field
     **{f"sample-noise-{value}": ("mixture", ["sample", "--noise", value],

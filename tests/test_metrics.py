@@ -3,8 +3,9 @@ import pytest
 
 from ebmkit.errors import (ConfigError, DataError, DegenerateEstimateError,
                            DimensionError, LabelError)
-from ebmkit.metrics import (QUADRATURE_CHUNK, AISConfig, ais_logZ, auroc,
-                            energy_classify, frechet_gaussian, ks_statistic,
+from ebmkit.metrics import (QUADRATURE_CHUNK, QUADRATURE_MAX_CELLS, AISConfig,
+                            ais_logZ, auroc, energy_classify,
+                            frechet_gaussian, ks_statistic,
                             log_partition_quadrature, metric_csv_row,
                             mode_coverage, pgd_attack, raise_logZ,
                             refined_classify)
@@ -134,6 +135,18 @@ def test_quadrature_rejects_high_dimension():
     net = QuadraticEnergy(dim=3)
     with pytest.raises(DimensionError):
         log_partition_quadrature(net, [(-1, 1)] * 3, 0.1)
+
+
+@pytest.mark.parametrize("dim,resolution", [
+    (1, 1e-300), (2, 1e-300), (1, 1.0 / (QUADRATURE_MAX_CELLS + 1)),
+    (2, 1.0 / 2049)])
+def test_quadrature_rejects_a_grid_past_the_cell_cap(dim, resolution):
+    """The cell count is checked before any grid array is built: a
+    2049 x 2049 grid is just past 2**22 cells."""
+    net = EnergyNet.init(ModelConfig(widths=(dim, 4, 1)),
+                         np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="resolution"):
+        log_partition_quadrature(net, (0.0, 1.0), resolution)
 
 
 def test_quadrature_rejects_bad_bounds():
@@ -607,8 +620,8 @@ def test_pgd_matches_separate_energy_pass_bit_for_bit(norm, num_classes):
 @pytest.mark.parametrize("norm", ["linf", "l2"])
 @pytest.mark.parametrize("rows", [37, 64])
 def test_pgd_on_a_real_net_matches_reference_bytes(norm, rows):
-    """pgd_attack on an EnergyNet, whose frozen view shares the first layer
-    across the class calls at each point, gives the reference's bytes."""
+    """pgd_attack on an EnergyNet, whose class calls each take their own
+    network pass, gives the reference's bytes."""
     net = _film_net(4, seed=60 + rows)
     rng = np.random.default_rng(61)
     x = rng.uniform(size=(rows, 2))
@@ -616,6 +629,26 @@ def test_pgd_on_a_real_net_matches_reference_bytes(norm, rows):
     adv = pgd_attack(net, x, y, eps=0.1, steps=6, norm=norm)
     ref = pgd_attack_reference(net, x, y, eps=0.1, steps=6, norm=norm)
     assert adv.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("norm,eps", [("linf", 0.1), ("l2", 2.0)])
+def test_pgd_stops_at_a_repeated_iterate(norm, eps):
+    """A step that leaves the iterate unchanged ends the attack: the result
+    keeps the reference's bytes, and the grad_x count is K per step up to
+    and including the first step whose successor equals it."""
+    steps, num_classes = 30, 3
+    net = _film_net(num_classes, seed=70)
+    rng = np.random.default_rng(71)
+    x = rng.uniform(size=(16, 2))
+    y = rng.integers(0, num_classes, size=16)
+    iterates = [pgd_attack_reference(net, x, y, eps=eps, steps=k, norm=norm)
+                for k in range(steps + 1)]
+    j = next(k for k in range(steps)
+             if iterates[k + 1].tobytes() == iterates[k].tobytes())
+    counted = CallCounter(net)
+    adv = pgd_attack(counted, x, y, eps=eps, steps=steps, norm=norm)
+    assert adv.tobytes() == iterates[steps].tobytes()
+    assert counted.calls == {"energy": 0, "grad_x": num_classes * (j + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -417,9 +417,9 @@ def test_lean_pass_matches_out_of_place_reference(**case):
 @KERNEL_SETTINGS
 @given(**KERNEL_NETS)
 def test_frozen_view_follows_the_pgd_pattern(**case):
-    """A view called twice for every class at one point, then at a new
-    point, then at that point changed in place, answers as the
-    out-of-place pass does."""
+    """A view keeps nothing between calls: called twice for every class
+    at one point, then at a new point, then at that point changed in
+    place, it answers as the out-of-place pass does."""
     net, x, _, rng = _kernel_case(**case)
     view = net.frozen()
     classes = range(net.config.num_classes) or [None]

@@ -9,7 +9,8 @@ from ebmkit.errors import ChainDivergedError, ConfigError, DimensionError
 from ebmkit.sampler import (LangevinConfig, ReplayBuffer, init_batch,
                             inpaint, langevin_step, refine_bounded, run_chain)
 
-from helpers import GaussianMixtureEnergy, QuadraticEnergy
+from helpers import (CallCounter, GaussianMixtureEnergy, QuadraticEnergy,
+                     stepwise_chain)
 
 
 def two_mode_1d():
@@ -65,14 +66,14 @@ class TestLangevinStep:
         net = QuadraticEnergy(prec=np.zeros((3, 3)), dim=3)
         cfg = LangevinConfig(noise=0.0)
         x = np.random.default_rng(0).uniform(size=(4, 3))
-        out = langevin_step(x, net, cfg, np.random.default_rng(1))
+        out, _ = langevin_step(x, net, cfg, np.random.default_rng(1))
         np.testing.assert_array_equal(out, x)
 
     def test_all_false_mask_freezes_state(self):
         net = QuadraticEnergy(dim=3)
         cfg = LangevinConfig(noise=0.1, mask=np.zeros(3, dtype=bool))
         x = np.random.default_rng(2).normal(size=(4, 3))
-        out = langevin_step(x, net, cfg, np.random.default_rng(3))
+        out, _ = langevin_step(x, net, cfg, np.random.default_rng(3))
         np.testing.assert_array_equal(out, x)
 
     def test_partial_mask_freezes_exactly_the_unmasked(self):
@@ -80,7 +81,7 @@ class TestLangevinStep:
         mask = np.array([True, False, True])
         cfg = LangevinConfig(noise=0.05, mask=mask)
         x = np.random.default_rng(4).normal(size=(6, 3))
-        out = langevin_step(x, net, cfg, np.random.default_rng(5))
+        out, _ = langevin_step(x, net, cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(out[:, ~mask], x[:, ~mask])
         assert np.all(out[:, mask] != x[:, mask])
 
@@ -118,7 +119,7 @@ class TestLangevinStep:
         burn, keep = 500, 1500
         collected = np.empty((keep, 1000))
         for k in range(burn + keep):
-            x = langevin_step(x, net, cfg, rng)
+            x, _ = langevin_step(x, net, cfg, rng)
             if k >= burn:
                 collected[k - burn] = x[:, 0]
         a = 1.0 - lam
@@ -146,7 +147,7 @@ class TestRunChain:
         init = np.random.default_rng(17).uniform(size=(4, 2))
         x, rng = init.copy(), np.random.default_rng(0)
         for k in range(cfg.steps):
-            x = langevin_step(x, net, cfg, rng, center=init, step_index=k)
+            x, _ = langevin_step(x, net, cfg, rng, center=init, step_index=k)
         out = run_chain(init, net, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
 
@@ -201,6 +202,60 @@ class TestRunChain:
         near_right = np.abs(out[:, 0] - 0.75) < 0.1
         assert np.all(near_left | near_right)
         assert near_left.mean() >= 0.2 and near_right.mean() >= 0.2
+
+
+class TestStallReuse:
+    """run_chain hands a step's gradient to the next step when the state
+    did not move, and otherwise calls grad_x; either way it returns the
+    bytes of the walk that calls grad_x at every step."""
+
+    def test_chain_pinned_at_the_clamp_takes_one_gradient(self):
+        # the minimum lies outside the cube, so every step pushes each
+        # component past the clamp and the state never leaves the corner
+        net = CallCounter(QuadraticEnergy(mu=np.full(2, 3.0)))
+        cfg = LangevinConfig(steps=25, clamp=(0.0, 1.0))
+        init = np.ones((4, 2))
+        out = run_chain(init, net, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, init)
+        assert net.calls == {"energy": 0, "grad_x": 1}
+
+    def test_free_chain_takes_one_gradient_per_step(self):
+        net = CallCounter(QuadraticEnergy())
+        cfg = LangevinConfig(steps=25)
+        init = np.random.default_rng(1).uniform(size=(4, 2))
+        run_chain(init, net, cfg, np.random.default_rng(2))
+        assert net.calls == {"energy": 0, "grad_x": 25}
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 3),
+           dim=st.integers(1, 3), steps=st.integers(0, 12),
+           clamp=st.booleans(), eps_box=st.booleans(), mask=st.booleans(),
+           noise=st.sampled_from([0.0, 0.005]),
+           step=st.sampled_from([(10.0, 0.01), (0.05, 1e6)]))
+    def test_chain_equals_the_stepwise_walk(self, seed, rows, dim, steps,
+                                            clamp, eps_box, mask, noise, step):
+        rng = np.random.default_rng(seed)
+        # minima inside and outside the cube: some walks stall, some move;
+        # the unclipped steps make the gradient depend on where they stop
+        net = QuadraticEnergy(mu=rng.uniform(-1.0, 2.0, size=dim), dim=dim)
+        cfg = LangevinConfig(
+            steps=steps, noise=noise, step_size=step[0], grad_clip=step[1],
+            clamp=(0.0, 1.0) if clamp else None,
+            eps_box=0.15 if eps_box else None,
+            mask=rng.random(dim) < 0.5 if mask else None)
+        init = rng.choice([0.0, 0.5, 1.0], size=(rows, dim))
+        got_rng, ref_rng = (np.random.default_rng(seed) for _ in "ab")
+        got_record, ref_record = [], []
+        got = run_chain(init, net, cfg, got_rng, record=got_record)
+        ref = stepwise_chain(init, net, cfg, ref_rng, record=ref_record)
+        assert got.tobytes() == ref.tobytes()
+        assert got_rng.random() == ref_rng.random()
+        assert len(got_record) == len(ref_record) == steps
+        for got_entry, ref_entry in zip(got_record, ref_record):
+            for a, b in zip(got_entry, ref_entry):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.tobytes() == b.tobytes()
 
 
 class TestReplayBuffer:
@@ -361,7 +416,7 @@ class TestRefineBounded:
         x0 = rng.uniform(size=(8, 2))
         x = x0.copy()
         for k in range(30):
-            x = langevin_step(x, net, cfg, rng, center=x0, step_index=k)
+            x, _ = langevin_step(x, net, cfg, rng, center=x0, step_index=k)
             assert np.max(np.abs(x - x0)) <= 0.05 + 1e-15
 
     def test_refinement_reduces_energy_near_mode(self):
