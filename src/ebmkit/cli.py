@@ -269,6 +269,15 @@ def _build_dataset(spec, rng):
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
+def _split(data, name):
+    """(x, labels) of a built dataset's train or test split. A training
+    split needs a row; a command that reads the test split rejects it empty."""
+    x, y = data[name]
+    if not len(x):
+        raise DataError(f"the dataset's {name} split has no rows")
+    return x, y
+
+
 def _dataset_from_manifest(manifest):
     """Rebuild the training data from the seed and the fully-defaulted
     dataset spec that cmd_train recorded in the checkpoint manifest."""
@@ -346,8 +355,7 @@ def cmd_train(args):
     model_cfg = ModelConfig(**cfg["model"])
     train_cfg, buffer_args = _training(cfg)
     data_rng, init_rng, work_rng = _rngs(args.seed)
-    data = _build_dataset(cfg["dataset"], data_rng)
-    x, y = data["train"]
+    x, y = _split(_build_dataset(cfg["dataset"], data_rng), "train")
     if model_cfg.num_classes > 0 and y is None:
         raise ConfigError("conditional model needs a labeled dataset")
     use_labels = model_cfg.num_classes > 0
@@ -513,8 +521,8 @@ def _eval_auroc(args, bundle, rng):
 def _eval_ks(args, bundle, rng):
     net = bundle.net
     data, _ = _dataset_from_manifest(bundle.manifest)
-    x_train, y_train = data["train"]
-    x_test, y_test = data["test"]
+    x_train, y_train = _split(data, "train")
+    x_test, y_test = _split(data, "test")
     conditional = net.config.num_classes > 0
     e_train = net.energy(x_train, labels=y_train if conditional else None)
     e_test = net.energy(x_test, labels=y_test if conditional else None)
@@ -566,6 +574,7 @@ def _eval_frechet(args, bundle, rng):
     if "test_set" not in data:
         raise ConfigError(
             "frechet-rollout needs a trajectory-trained checkpoint")
+    _split(data, "test")
     cfg = LangevinConfig(steps=args.steps, clamp=(0.0, 1.0))
     dists = _ebm_rollout(net, data["test_set"], int(spec["length"]),
                          args.horizon, cfg, rng)
@@ -655,7 +664,7 @@ def cmd_attack(args):
     if net.config.num_classes <= 0:
         raise ConfigError("attack needs a conditional (classifier) model")
     data, _ = _dataset_from_manifest(bundle.manifest)
-    x_test, y_test = data["test"]
+    x_test, y_test = _split(data, "test")
     if y_test is None:
         raise ConfigError("attack needs a labeled dataset")
     n = min(args.n, x_test.shape[0])

@@ -96,9 +96,6 @@ class SummedEnergy:
                 out.append((f"part{i}.{name}", arr))
         return out
 
-    def clone(self):
-        return SummedEnergy([(net.clone(), label) for net, label in self.parts])
-
     def spectral_update(self, iters=None):
         for net, _ in self.parts:
             if net.config.spectral_norm:

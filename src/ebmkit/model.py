@@ -3,17 +3,18 @@
 EnergyNet maps each row of x to one real energy. Hidden layers are affine
 + activation, optionally followed by a per-class gain and bias (FiLM:
 h <- gamma_y * h + beta_y) when the model is conditional; the final layer
-is a plain affine map of width 1. Besides the numpy energy it has a
-closed-form input gradient grad_x, whose hidden pass also yields each
-layer's activation derivative (one sigmoid per layer) and, on request,
-the energy itself: the last hidden state is already there, so the energy
-costs one more affine map and is bit-equal to energy(). A closed-form
-reverse pass, backward, gives parameter gradients. backward differentiates
-phi = sum_i r_i E(x_i) + sum_i c_i . grad_x E(x_i): a forward pass carries
-the tangent c, one reverse pass returns the x- and parameter gradients
-(Pearlmutter 1994, Fast Exact Multiplication by the Hessian). With c
-absent that is the gradient of a loss on energies, and no tangent is
-carried; with r = 0 it is the second-order product a differentiated
+is a plain affine map of width 1. All numpy evaluation runs through one
+forward pass over the hidden layers and one reverse pass back over them.
+energy is the forward pass and the head. grad_x also records each
+layer's activation derivative (one sigmoid per layer) and FiLM gain and
+walks them back from the head's weights; on request it returns the
+energy too, bit-equal to energy(), since the last hidden state is
+already there. backward differentiates
+phi = sum_i r_i E(x_i) + sum_i c_i . grad_x E(x_i): the forward pass
+carries the tangent c, and the reverse pass returns the x- and parameter
+gradients (Pearlmutter 1994, Fast Exact Multiplication by the Hessian).
+With c absent that is the gradient of a loss on energies, and no tangent
+is carried; with r = 0 it is the second-order product a differentiated
 Langevin chain needs. The taped energy (autodiff) computes the same
 quantities and serves as their reference in the tests.
 
@@ -33,8 +34,7 @@ returns (energy, gradient) at the same points; callers that need both
 call. frozen() returns the model for evaluations under unchanged weights
 (stand-ins return themselves; see EnergyNet.frozen); an evaluation
 depends on the weights and its arguments alone. Trainable models add
-parameters, backward, clone and, when spectral_norm is set,
-spectral_update.
+parameters, backward and, when spectral_norm is set, spectral_update.
 """
 
 from __future__ import annotations
@@ -51,18 +51,6 @@ ACTIVATIONS = ("swish", "leaky_relu")
 
 LEAKY_SLOPE = 0.2
 
-# sup |d swish / dx| is ~1.0998 (attained near x = 2.4); 1.1 is a safe
-# per-layer slope bound for Lipschitz bookkeeping.
-SWISH_SLOPE_BOUND = 1.1
-
-
-def activation_slope_bound(kind):
-    if kind == "swish":
-        return SWISH_SLOPE_BOUND
-    if kind == "leaky_relu":
-        return 1.0
-    raise ConfigError(f"unsupported activation {kind!r}")
-
 
 def _affine(h, w, b):
     """h @ w + b, the bias added in place."""
@@ -71,27 +59,27 @@ def _affine(h, w, b):
     return z
 
 
-def _act(z, kind, derivs=None, curvs=None):
-    """Activation of z; appends its derivative to derivs and its second
-    derivative to curvs when lists are given. Swish takes one sigmoid s
+def _act(z, kind, order=0):
+    """(activation, derivative, second derivative) of z, the derivatives
+    None above the given order (0, 1 or 2). Swish takes one sigmoid s
     for all three: z s, s + z s (1 - s) and s (1 - s) (2 + z (1 - 2 s));
     leaky ReLU is piecewise linear, so its second derivative is 0."""
+    d = curv = None
     if kind == "swish":
         s = ad.stable_sigmoid(z)
         zs = z * s
-        if derivs is not None:
+        if order >= 1:
             d = 1.0 - s
             d *= zs
             d += s
-            derivs.append(d)
-        if curvs is not None:
-            curvs.append(s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s)))
-        return zs
-    if derivs is not None:
-        derivs.append(np.where(z > 0, 1.0, LEAKY_SLOPE))
-    if curvs is not None:
-        curvs.append(0.0)
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
+        if order == 2:
+            curv = s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))
+        return zs, d, curv
+    if order >= 1:
+        d = np.where(z > 0, 1.0, LEAKY_SLOPE)
+    if order == 2:
+        curv = 0.0
+    return np.where(z > 0, z, LEAKY_SLOPE * z), d, curv
 
 
 @dataclass
@@ -241,13 +229,6 @@ class EnergyNet:
                 u = wv / n2
             layer.u = u
 
-    def estimated_sigma(self, layer_index):
-        """Current top-singular-value estimate ||W^T u|| for one layer."""
-        if not self.config.spectral_norm:
-            raise ConfigError("spectral normalization is disabled for this model")
-        layer = self.layers[layer_index]
-        return float(np.linalg.norm(layer.w.T @ layer.u))
-
     def _effective_weight(self, layer):
         if not self.config.spectral_norm or layer.u is None:
             return layer.w
@@ -288,14 +269,17 @@ class EnergyNet:
 
     # -- forward passes -------------------------------------------------------
 
-    def _check_inputs(self, x, labels):
+    def _inputs(self, x, labels):
+        """x as float64 and labels as class indices, checked against the
+        config (labels None for an unconditional model)."""
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise DimensionError(
                 f"expected inputs of shape (batch, {self.config.input_dim}), got {x.shape}")
         if self.config.num_classes == 0:
             if labels is not None:
                 raise LabelError("model is unconditional but labels were given")
-            return None
+            return x, None
         if labels is None:
             raise LabelError("conditional model requires a label per row")
         labels = np.asarray(labels, dtype=np.intp)
@@ -303,27 +287,76 @@ class EnergyNet:
             raise LabelError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.config.num_classes):
             raise LabelError("label out of range")
-        return labels
+        return x, labels
 
-    def _hidden(self, x, labels, w_effs, derivs=None, gains=None):
-        """numpy pass through the hidden layers with the given effective
-        weights; appends each activation derivative to derivs and each
-        layer's gathered FiLM gain (None without FiLM) to gains when lists
-        are given."""
+    def _forward(self, x, labels, w_effs, record=None, c=None, keep=False):
+        """numpy pass through the hidden layers; returns the last hidden
+        state and its tangent along c (None without c). With record a
+        list, appends per layer what _reverse reads, (h, a, d, gain, dh,
+        dz, da, curv): the layer's input, activation, activation
+        derivative and gathered FiLM gain (None without FiLM), then with c
+        the tangents of the input, pre-activation and activation and the
+        second derivative. h and a, which only parameter gradients read,
+        are None without keep, and then the FiLM product runs in place."""
         if labels is not None and labels.size and (labels == labels[0]).all():
             # one class for every row: its FiLM row broadcasts, ungathered
             labels = labels[:1]
-        kind, h = self.config.activation, x
+        order = 0 if record is None else 1 if c is None else 2
+        kind, h, dh = self.config.activation, x, c
         for layer, w in zip(self.layers[:-1], w_effs):
-            h = _act(_affine(h, w, layer.b), kind, derivs)
-            gain = None
-            if layer.gamma is not None:
-                gain = layer.gamma[labels]
-                h *= gain
+            a, d, curv = _act(_affine(h, w, layer.b), kind, order)
+            dz = da = None
+            if dh is not None:
+                dz = dh @ w
+                da = d * dz
+            gain = None if layer.gamma is None else layer.gamma[labels]
+            if record is not None:
+                record.append((h, a, d, gain, dh, dz, da, curv) if keep
+                              else (None, None, d, gain, dh, dz, da, curv))
+            h, dh = a, da
+            if gain is not None:
+                if keep:
+                    h = h * gain
+                else:
+                    h *= gain
                 h += layer.beta[labels]
-            if gains is not None:
-                gains.append(gain)
-        return h
+                if dh is not None:
+                    dh = dh * gain
+        return h, dh
+
+    def _reverse(self, record, w_effs, hb, dhb=None, grads=None, onehot=None):
+        """Walks a _forward record back from hb, the adjoint of the last
+        hidden state, and dhb, that of its tangent (None without one);
+        returns the adjoint of the input. With grads a list, sets
+        grads[i] to hidden layer i's parameter gradients, for which
+        FiLM layers read onehot, the labels' one-hot rows."""
+        for i in range(len(record) - 1, -1, -1):
+            h, a, d, gain, dh, dz, da, curv = record[i]
+            if grads is not None:
+                g = grads[i] = {}
+            if gain is not None:
+                if grads is not None:
+                    g["gamma"] = onehot.T @ (hb * a if dhb is None
+                                             else hb * a + dhb * da)
+                    g["beta"] = onehot.T @ hb
+                hb = hb * gain
+                if dhb is not None:
+                    dhb = dhb * gain
+            # from here hb is the pre-activation's adjoint; rebinding the
+            # one name lets each spent adjoint go at once
+            hb = hb * d
+            if dhb is not None:
+                dzb = dhb * d
+                hb += dhb * dz * curv
+                if grads is not None:
+                    g["w"] = h.T @ hb + dh.T @ dzb
+                dhb = dzb @ w_effs[i].T
+            elif grads is not None:
+                g["w"] = h.T @ hb
+            if grads is not None:
+                g["b"] = hb.sum(axis=0)
+            hb = hb @ w_effs[i].T
+        return hb
 
     def _head(self, h, w_effs):
         """Energy per row from the last hidden state."""
@@ -331,10 +364,9 @@ class EnergyNet:
 
     def energy(self, x, labels=None):
         """Energy per batch row, shape (batch,)."""
-        x = np.asarray(x, dtype=np.float64)
-        labels = self._check_inputs(x, labels)
+        x, labels = self._inputs(x, labels)
         w_effs = self._weights()
-        h = self._hidden(x, labels, w_effs)
+        h, _ = self._forward(x, labels, w_effs)
         return self._head(h, w_effs)
 
     def grad_x(self, x, labels=None, *, with_energy=False):
@@ -343,18 +375,13 @@ class EnergyNet:
         With with_energy, returns (energy, gradient); the energy comes from
         the same hidden pass and is bit-equal to energy(x, labels).
         """
-        x = np.asarray(x, dtype=np.float64)
-        labels = self._check_inputs(x, labels)
+        x, labels = self._inputs(x, labels)
         w_effs = self._weights()
-        derivs, gains = [], []
-        h = self._hidden(x, labels, w_effs, derivs, gains)
-        g = w_effs[-1].T    # one row; the products broadcast it
-        for i in range(len(self.layers) - 2, -1, -1):
-            if gains[i] is not None:
-                g = g * gains[i]
-            g = g * derivs[i]
-            g = g @ w_effs[i].T
-        if len(self.layers) == 1:
+        record = []
+        h, _ = self._forward(x, labels, w_effs, record)
+        # the head's one row as the adjoint; the products broadcast it
+        g = self._reverse(record, w_effs, w_effs[-1].T)
+        if not record:
             g = np.repeat(g, x.shape[0], axis=0)
         if with_energy:
             return self._head(h, w_effs), g
@@ -370,70 +397,30 @@ class EnergyNet:
         both; when c is None, no tangent (and no second derivative) is
         computed at all.
         """
-        x = np.asarray(x, dtype=np.float64)
-        labels = self._check_inputs(x, labels)
+        x, labels = self._inputs(x, labels)
         n = x.shape[0]
         r = np.zeros(n) if r is None else np.asarray(r, dtype=np.float64)
-        dh = None if c is None else np.asarray(c, dtype=np.float64)
-        tangent = dh is not None
-        if r.shape != (n,) or (tangent and dh.shape != x.shape):
+        c = None if c is None else np.asarray(c, dtype=np.float64)
+        if r.shape != (n,) or (c is not None and c.shape != x.shape):
             raise DimensionError(
                 f"cotangents of shape {r.shape} and {np.shape(c)} do not "
                 f"match inputs of shape {x.shape}")
-        kind = self.config.activation
         w_effs = self._weights()
-        derivs, curvs, saved = [], [], []
-        h = x
-        for layer, w in zip(self.layers[:-1], w_effs):
-            a = _act(_affine(h, w, layer.b), kind, derivs,
-                     curvs if tangent else None)
-            dz = da = None
-            if tangent:
-                dz = dh @ w
-                da = derivs[-1] * dz
-            saved.append((h, dh, a, dz, da))
-            if layer.gamma is None:
-                h, dh = a, da
-            else:
-                gain = layer.gamma[labels]
-                h = a * gain
-                h += layer.beta[labels]
-                dh = da * gain if tangent else None
+        record = []
+        h, dh = self._forward(x, labels, w_effs, record, c, keep=True)
 
         # hb and dhb are the adjoints of the hidden state and its tangent
         w = w_effs[-1]
         grads = [None] * len(self.layers)
         grads[-1] = {"w": h.T @ r[:, None], "b": r.sum(keepdims=True)}
-        hb = r[:, None] * w.T
-        if tangent:
+        hb, dhb, onehot = r[:, None] * w.T, None, None
+        if dh is not None:
             grads[-1]["w"] = grads[-1]["w"] + dh.sum(axis=0)[:, None]
             dhb = np.broadcast_to(w.T, h.shape)
         if labels is not None:
             onehot = (labels[:, None] == np.arange(self.config.num_classes)
                       ).astype(np.float64)
-        for i in range(len(self.layers) - 2, -1, -1):
-            layer, w = self.layers[i], w_effs[i]
-            h, dh, a, dz, da = saved[i]
-            g = {}
-            if layer.gamma is not None:
-                g["gamma"] = onehot.T @ (hb * a + dhb * da if tangent
-                                         else hb * a)
-                g["beta"] = onehot.T @ hb
-                gain = layer.gamma[labels]
-                hb = hb * gain
-                if tangent:
-                    dhb = dhb * gain
-            if tangent:
-                dzb = dhb * derivs[i]
-                zb = hb * derivs[i] + dhb * dz * curvs[i]
-                g["w"] = h.T @ zb + dh.T @ dzb
-                dhb = dzb @ w.T
-            else:
-                zb = hb * derivs[i]
-                g["w"] = h.T @ zb
-            g["b"] = zb.sum(axis=0)
-            hb = zb @ w.T
-            grads[i] = g
+        hb = self._reverse(record, w_effs, hb, dhb, grads, onehot)
 
         for layer, w, g in zip(self.layers, w_effs, grads):
             if w is not layer.w:
@@ -455,8 +442,8 @@ class EnergyNet:
         differentiate the parameters as well. No command runs it: it is
         the tests' reference for grad_x and backward.
         """
-        xv = x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
-        labels = self._check_inputs(xv, labels)
+        xv, labels = self._inputs(x.data if isinstance(x, ad.Tensor) else x,
+                                  labels)
         h = x if isinstance(x, ad.Tensor) else ad.constant(xv)
         for i, layer in enumerate(self.layers):
             p = (params[i] if params is not None

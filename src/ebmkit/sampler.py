@@ -5,10 +5,15 @@ additive Gaussian noise:
 
     x' = x - step_size * clip(grad_E(x), +-grad_clip) + noise * N(0, I)
 
-Step size and noise scale are configured independently. (The classical
-coupling would set noise = sqrt(2 * step_size); decoupling them is what
-makes small-noise sampling with aggressive step sizes workable, at the
-cost of targeting a slightly tempered version of exp(-E).)
+Step size and noise scale are configured independently. The classical
+coupling, noise = sqrt(2 * step_size), targets exp(-E). Decoupled, with
+no gradient clipped, a step is the classical one for E / T with step
+size noise**2 / 2, so the chain targets about exp(-E / T) at temperature
+T = noise**2 / (2 * step_size): 1.25e-6 at the defaults (noise 0.005,
+step_size 10), far colder than exp(-E). The logZ estimators in metrics
+(AIS, RAISE and the quadrature of eval --metric logz-bracket) use T = 1,
+so they bracket the normalizer of exp(-E), not of the density these
+chains draw from.
 
 Chains are plain numpy: sampling never records onto an autodiff tape, so
 negatives produced here act as constants in any downstream loss.

@@ -636,34 +636,56 @@ def test_unlisted_value_reports_config_error(workdir, capsys, case):
     assert not out.exists()
 
 
-# Fractional counts, in each section that feeds a data generator.
+# Counts that no data generator can serve, in each section that feeds
+# one, with a phrase of their error: fractional counts, an empty training
+# split, and an empty test split, which train accepts and attack, the
+# command that reads it, rejects.
 FRACTIONAL_COUNTS = {
-    "mixture-n": ("train", "dataset:\n  kind: mixture\n  n: 2.5\n"),
-    "mixture-n-test": ("train", "dataset:\n  kind: mixture\n  n_test: 3.9\n"),
-    "ring-n": ("train", "dataset:\n  kind: ring\n  n: 2.5\n"),
+    "mixture-n": ("train", "dataset:\n  kind: mixture\n  n: 2.5\n",
+                  "must be an integer"),
+    "mixture-n-test": ("train", "dataset:\n  kind: mixture\n  n_test: 3.9\n",
+                       "must be an integer"),
+    "ring-n": ("train", "dataset:\n  kind: ring\n  n: 2.5\n",
+               "must be an integer"),
     "sprites-n-per-combo": ("train", "dataset:\n  kind: sprites\n"
-                            "  n_per_combo: 1.5\n"),
+                            "  n_per_combo: 1.5\n", "must be an integer"),
     "trajectories-count": ("train", "dataset:\n  kind: trajectories\n"
-                           "  n_trajectories: 2.5\n"),
+                           "  n_trajectories: 2.5\n", "must be an integer"),
     "trajectories-length": ("train", "dataset:\n  kind: trajectories\n"
-                            "  length: 2.5\n"),
+                            "  length: 2.5\n", "must be an integer"),
     "trajectories-kick-period": ("train", "dataset:\n  kind: trajectories\n"
-                                 "  kick_period: 1.5\n"),
-    "continual-n": ("continual", "continual:\n  n: 2.5\n"),
-    "continual-n-test": ("continual", "continual:\n  n_test: 3.9\n"),
+                                 "  kick_period: 1.5\n",
+                                 "must be an integer"),
+    "continual-n": ("continual", "continual:\n  n: 2.5\n",
+                    "must be an integer"),
+    "continual-n-test": ("continual", "continual:\n  n_test: 3.9\n",
+                         "must be an integer"),
+    "mixture-n-zero": ("train", "dataset:\n  kind: mixture\n  n: 0\n",
+                       "train split has no rows"),
+    "ring-n-zero": ("train", "dataset:\n  kind: ring\n  n: 0\n",
+                    "train split has no rows"),
+    "attack-n-test-zero": ("attack", "model:\n  widths: [2, 8, 1]\n"
+                           "  num_classes: 2\ntrain:\n  total_steps: 0\n"
+                           "dataset:\n  kind: mixture\n"
+                           "  centers: [[0.25, 0.5], [0.75, 0.5]]\n"
+                           "  n_test: 0\n", "test split has no rows"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FRACTIONAL_COUNTS))
 def test_fractional_count_reports_data_error(workdir, capsys, case):
-    command, text = FRACTIONAL_COUNTS[case]
-    cfg = workdir / f"fractional-{case}.yaml"
-    cfg.write_text(text)
+    command, text, phrase = FRACTIONAL_COUNTS[case]
+    if command == "attack":
+        source = ["--checkpoint", str(_train(workdir, case, text, seed=0))]
+    else:
+        cfg = workdir / f"fractional-{case}.yaml"
+        cfg.write_text(text)
+        source = ["--config", str(cfg)]
     out = workdir / f"fractional-{case}.out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert main([command, *source, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error data:") and err.count("\n") == 1
-    assert "must be an integer" in err
+    assert phrase in err
     assert not out.exists()
 
 

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from ebmkit import autodiff as ad
 from ebmkit.compose import SummedEnergy
 from ebmkit.errors import ConfigError, DimensionError, LabelError
-from ebmkit.model import (ACTIVATIONS, EnergyNet, Layer, ModelConfig,
-                          activation_slope_bound)
+from ebmkit.model import ACTIVATIONS, EnergyNet, Layer, ModelConfig
 
 from helpers import (QuadraticEnergy, central_diff, reference_backward,
                      reference_energy_grad, relative_error,
@@ -33,10 +32,6 @@ class TestConfig:
     def test_rejects_unknown_activation(self):
         with pytest.raises(ConfigError):
             ModelConfig(widths=(3, 1), activation="tanh")
-
-    def test_slope_bounds(self):
-        assert activation_slope_bound("leaky_relu") == 1.0
-        assert activation_slope_bound("swish") == pytest.approx(1.1)
 
 
 class TestEnergyForward:
@@ -161,7 +156,8 @@ class TestSpectralNormalization:
         net = small_net(widths=(2, 2, 1), seed=0)
         net.layers[0].w = np.diag([3.0, 1.0])
         net.spectral_update(iters=50)
-        assert net.estimated_sigma(0) == pytest.approx(3.0, abs=1e-3)
+        layer = net.layers[0]
+        assert np.linalg.norm(layer.w.T @ layer.u) == pytest.approx(3.0, abs=1e-3)
         w_eff = net._effective_weight(net.layers[0])
         top = np.linalg.svd(w_eff, compute_uv=False)[0]
         assert top == pytest.approx(1.0, abs=1e-3)
@@ -181,9 +177,9 @@ class TestSpectralNormalization:
         net.layers[0].w = rng.normal(size=(8, 8))
         u = rng.normal(size=8)
         net.layers[0].u = u / np.linalg.norm(u)
-        sigmas = []
+        layer, sigmas = net.layers[0], []
         for _ in range(40):
-            sigmas.append(net.estimated_sigma(0))
+            sigmas.append(np.linalg.norm(layer.w.T @ layer.u))
             net.spectral_update(iters=1)
         sigmas = np.array(sigmas)
         assert np.all(np.diff(sigmas) >= -1e-12)
@@ -212,7 +208,9 @@ class TestSpectralNormalization:
     def test_lipschitz_bound_empirical(self):
         """|E(x1)-E(x2)| <= prod(layer sigmas) * slope^hidden * ||x1-x2||."""
         net = small_net(widths=(3, 16, 16, 1), seed=6)
-        bound = activation_slope_bound("swish") ** 2
+        # sup |d swish / dx| is ~1.0998 (attained near x = 2.4); 1.1 is a
+        # safe per-layer slope bound for Lipschitz bookkeeping.
+        bound = 1.1 ** 2
         for layer in net.layers:
             w_eff = net._effective_weight(layer)
             bound *= np.linalg.svd(w_eff, compute_uv=False)[0]

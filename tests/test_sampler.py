@@ -226,7 +226,7 @@ class TestStallReuse:
         run_chain(init, net, cfg, np.random.default_rng(2))
         assert net.calls == {"energy": 0, "grad_x": 25}
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, database=None)
     @given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 3),
            dim=st.integers(1, 3), steps=st.integers(0, 12),
            clamp=st.booleans(), eps_box=st.booleans(), mask=st.booleans(),
