@@ -118,14 +118,14 @@ class SummedEnergy:
         return total, grads
 
 
-def joint_sample(models, cfg, rng, init=None, n=64):
+def joint_sample(models, cfg, rng, n=64):
     """Sample the product distribution by Langevin dynamics on the sum.
 
-    models may be a SummedEnergy or a list of (net, label) pairs.
+    models is a list of (net, label) pairs; the n chains start from
+    uniform noise on [0,1]^d.
     """
-    summed = models if isinstance(models, SummedEnergy) else SummedEnergy(models)
-    if init is None:
-        init = rng.uniform(size=(n, summed.config.input_dim))
+    summed = SummedEnergy(models)
+    init = rng.uniform(size=(n, summed.config.input_dim))
     return run_chain(init, summed, cfg, rng)
 
 

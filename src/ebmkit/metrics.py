@@ -1,14 +1,17 @@
 """Quantitative evaluation of trained energy models.
 
-Partition-function estimates come in three flavors that deliberately do
-not share code: a grid quadrature oracle (exact up to discretization,
-dimensions 1-2 only), annealed importance sampling (stochastic lower
-bound in expectation), and its reverse-annealed counterpart (stochastic
-upper bound). [raise, ais] therefore brackets the true logZ, and the
-quadrature value should fall inside the bracket. Their MALA sweeps carry
-each chain's net energy and gradient along with its state, and take both
-at a proposal from one grad_x(..., with_energy=True) pass, so one
-transition costs one grad_x call and no energy call.
+Partition-function estimates come in three flavors: a grid quadrature
+oracle (exact up to discretization, dimensions 1-2 only), annealed
+importance sampling (stochastic lower bound in expectation), and its
+reverse-annealed counterpart (stochastic upper bound). [raise, ais]
+therefore brackets the true logZ, and the quadrature value should fall
+inside the bracket. The two annealed estimators share the temperature
+ladder, the MALA sweep and the weight average. Both anneal between exp(-E)
+and the uniform density on the unit cube [0, 1]^d, whose log-partition is
+0. Their MALA sweeps carry each chain's net energy and gradient along with
+its state, and take both at a proposal from one
+grad_x(..., with_energy=True) pass, so one transition costs one grad_x
+call and no energy call.
 
 The remaining metrics are standard: Mann-Whitney AUROC, the Gaussian
 Frechet distance in Dowson-Landau closed form, a two-sample KS statistic,
@@ -21,13 +24,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateEstimateError,
                      DimensionError, LabelError, checked)
-from .sampler import refine_bounded
+from .sampler import run_chain
 
 __all__ = [
     "AISConfig",
@@ -61,46 +64,33 @@ QUADRATURE_MAX_CELLS = 2 ** 22
 
 
 def log_partition_quadrature(net, bounds, resolution):
-    """log of the midpoint-rule integral of exp(-E) over a box.
-
-    bounds is one (lo, hi) pair applied to every coordinate, or a
-    sequence of per-coordinate pairs; resolution is the grid spacing.
-    Only 1- and 2-dimensional inputs are supported: the grid is dense.
+    """log of the midpoint-rule integral of exp(-E) over the box
+    [lo, hi]^d, where bounds is the one (lo, hi) pair of every coordinate
+    and resolution is the grid spacing. Only 1- and 2-dimensional inputs
+    are supported: the grid is dense.
     """
-    bounds = np.asarray(bounds, dtype=np.float64)
-    model_dim = net.config.input_dim
-    if bounds.ndim == 1:
-        bounds = np.tile(bounds[None, :], (model_dim, 1))
-    if bounds.ndim != 2 or bounds.shape[1] != 2:
-        raise DimensionError(f"bounds must be (lo, hi) pairs, got shape {bounds.shape}")
-    d = bounds.shape[0]
-    if d != model_dim:
-        raise DimensionError(f"{d} bounds for a {model_dim}-dimensional model")
+    lo, hi = (float(v) for v in bounds)
+    d = net.config.input_dim
     if d > 2:
         raise DimensionError(f"quadrature supports 1 or 2 dimensions, got {d}")
-    if not np.all(bounds[:, 0] < bounds[:, 1]):
-        raise ConfigError("each bound needs lo < hi")
+    if not lo < hi:
+        raise ConfigError("bounds need lo < hi")
     resolution = checked("resolution", resolution, float, gt=0)
     # Python floats: an overflow is inf, without a numpy warning
-    cells = math.prod(max(1.0, round((hi - lo) / resolution, 0))
-                      for lo, hi in bounds.tolist())
+    cells = math.prod([max(1.0, round((hi - lo) / resolution, 0))] * d)
     if cells > QUADRATURE_MAX_CELLS:
         raise ConfigError(f"resolution {resolution:g} makes a grid of "
                           f"{cells:.3g} cells, more than "
                           f"{QUADRATURE_MAX_CELLS}")
 
-    axes = []
-    for lo, hi in bounds:
-        n = max(1, int(round((hi - lo) / resolution)))
-        h = (hi - lo) / n
-        axes.append(lo + h * (np.arange(n) + 0.5))
-    log_cell = float(np.sum([np.log((hi - lo) / len(ax))
-                             for (lo, hi), ax in zip(bounds, axes)]))
+    n = max(1, int(round((hi - lo) / resolution)))
+    axis = lo + (hi - lo) / n * (np.arange(n) + 0.5)
+    log_cell = float(np.sum([np.log((hi - lo) / n)] * d))
 
     if d == 1:
-        grid = axes[0][:, None]
+        grid = axis[:, None]
     else:
-        a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
+        a, b = np.meshgrid(axis, axis, indexing="ij")
         grid = np.stack([a.ravel(), b.ravel()], axis=1)
 
     log_terms = np.empty(grid.shape[0])
@@ -114,9 +104,16 @@ def log_partition_quadrature(net, bounds, resolution):
 # ---------------------------------------------------------------------------
 # annealed importance sampling
 
+# Cap on the MALA drift's row norm, in units of the proposal's standard
+# deviation sqrt(step_size); see _tamed_drift.
+DRIFT_CLIP = 2.0
+
+
 @dataclass
 class AISConfig:
-    """Annealing setup shared by the forward and reverse estimators.
+    """Annealing setup shared by the forward and reverse estimators:
+    chains run in parallel, temps rungs on the ladder, transitions MALA
+    moves per rung of step size step_size.
 
     The inverse-temperature ladder is geometric: beta_0 = 0, then
     geomspace(1e-3, 1) over the remaining rungs, so early rungs are
@@ -126,18 +123,13 @@ class AISConfig:
     chains: int = 256
     temps: int = 100
     transitions: int = 2
-    base: str = "uniform"
     step_size: float = 0.05
-    drift_clip: float = 2.0
 
     def __post_init__(self):
         self.chains = checked("chains", self.chains, int, ge=1)
         self.temps = checked("temps", self.temps, int, ge=1)
         self.transitions = checked("transitions", self.transitions, int, ge=0)
-        if self.base not in ("uniform", "gaussian"):
-            raise ConfigError(f"base must be 'uniform' or 'gaussian', got {self.base!r}")
         self.step_size = checked("step_size", self.step_size, float, gt=0)
-        self.drift_clip = checked("drift_clip", self.drift_clip, float, gt=0)
 
     def ladder(self):
         if self.temps == 1:
@@ -147,42 +139,8 @@ class AISConfig:
         return betas
 
 
-class _Base:
-    """Base distribution used at beta = 0."""
-
-    def __init__(self, kind, d):
-        self.kind = kind
-        self.d = d
-
-    def sample(self, n, rng):
-        if self.kind == "uniform":
-            return rng.uniform(size=(n, self.d))
-        return rng.normal(size=(n, self.d))
-
-    def energy(self, x):
-        if self.kind == "uniform":
-            return np.zeros(x.shape[0])
-        return 0.5 * np.sum(x * x, axis=1)
-
-    def grad(self, x):
-        if self.kind == "uniform":
-            return np.zeros_like(x)
-        return x
-
-    def in_support(self, x):
-        if self.kind == "uniform":
-            return np.all((x >= 0.0) & (x <= 1.0), axis=1)
-        return np.ones(x.shape[0], dtype=bool)
-
-    @property
-    def log_partition(self):
-        if self.kind == "uniform":
-            return 0.0
-        return 0.5 * self.d * np.log(2.0 * np.pi)
-
-
-def _tamed_drift(g, h, clip):
-    """Langevin drift -h/2 g with its row norm capped at clip * sqrt(h).
+def _tamed_drift(g, h):
+    """Langevin drift -h/2 g with its row norm capped at DRIFT_CLIP * sqrt(h).
 
     Far from a mode the raw drift can dwarf the proposal noise, pushing
     proposals so far uphill that every one is rejected and the chain
@@ -192,33 +150,29 @@ def _tamed_drift(g, h, clip):
     """
     drift = -0.5 * h * g
     norms = np.linalg.norm(drift, axis=1, keepdims=True)
-    limit = clip * np.sqrt(h)
+    limit = DRIFT_CLIP * np.sqrt(h)
     scale = np.where(norms > limit, limit / np.maximum(norms, 1e-300), 1.0)
     return drift * scale
 
 
-def _mala_sweep(net, base, beta, x, e, g, cfg, rng):
+def _mala_sweep(net, beta, x, e, g, cfg, rng):
     """Metropolis-adjusted Langevin transitions leaving the rung's
-    distribution invariant. The state carried is x with net's energy e
-    and gradient g there, so neither is recomputed: a proposal's net
-    energy and gradient become the state's on acceptance. Returns the
-    updated (x, e, g)."""
+    distribution, exp(-beta E) on the unit cube, invariant. The state
+    carried is x with net's energy e and gradient g there, so neither is
+    recomputed: a proposal's net energy and gradient become the state's on
+    acceptance. Returns the updated (x, e, g)."""
     h = cfg.step_size
-
-    def mix(base_part, net_part):
-        return (1.0 - beta) * base_part + beta * net_part
-
-    u = mix(base.energy(x), e)
+    u = beta * e
     for _ in range(cfg.transitions):
-        mean_fwd = x + _tamed_drift(mix(base.grad(x), g), h, cfg.drift_clip)
+        mean_fwd = x + _tamed_drift(beta * g, h)
         prop = mean_fwd + np.sqrt(h) * rng.normal(size=x.shape)
-        ok = base.in_support(prop)
-        # rows outside the support are evaluated at x; their u_prop is
-        # inf, so they are never accepted
+        ok = np.all((prop >= 0.0) & (prop <= 1.0), axis=1)
+        # rows off the cube are evaluated at x; their u_prop is inf, so
+        # they are never accepted
         at = np.where(ok[:, None], prop, x)
         e_prop, g_prop = net.grad_x(at, with_energy=True)
-        u_prop = np.where(ok, mix(base.energy(prop), e_prop), np.inf)
-        mean_bwd = prop + _tamed_drift(mix(base.grad(at), g_prop), h, cfg.drift_clip)
+        u_prop = np.where(ok, beta * e_prop, np.inf)
+        mean_bwd = prop + _tamed_drift(beta * g_prop, h)
         log_q_fwd = -np.sum((prop - mean_fwd) ** 2, axis=1) / (2.0 * h)
         log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h)
         with np.errstate(invalid="ignore"):
@@ -239,23 +193,22 @@ def _log_mean_exp(logw):
 
 
 def ais_logZ(net, cfg, rng):
-    """Forward-annealed estimate of log Z = log integral exp(-E).
+    """Forward-annealed estimate of log Z = log integral exp(-E) over the
+    unit cube, from chains started uniformly on it.
 
     Returns (estimate, standard_error). The estimate is a stochastic
     lower bound of logZ in expectation (Jensen applied to the log of the
     mean weight).
     """
     net = net.frozen()
-    d = net.config.input_dim
-    base = _Base(cfg.base, d)
     betas = cfg.ladder()
-    x = base.sample(cfg.chains, rng)
+    x = rng.uniform(size=(cfg.chains, net.config.input_dim))
     logw = np.zeros(cfg.chains)
     e, g = net.grad_x(x, with_energy=True)
     for t in range(1, len(betas)):
-        logw += (betas[t] - betas[t - 1]) * (base.energy(x) - e)
-        x, e, g = _mala_sweep(net, base, betas[t], x, e, g, cfg, rng)
-    estimate = base.log_partition + _log_mean_exp(logw)
+        logw -= (betas[t] - betas[t - 1]) * e
+        x, e, g = _mala_sweep(net, betas[t], x, e, g, cfg, rng)
+    estimate = _log_mean_exp(logw)
     m = np.max(logw)
     w = np.exp(logw - m)
     if cfg.chains > 1:
@@ -269,8 +222,8 @@ def raise_logZ(net, cfg, rng, samples):
     """Reverse-annealed counterpart of ais_logZ.
 
     samples approximate draws from the model (typically a replay-buffer
-    snapshot); chains start there and anneal down to the base, giving a
-    stochastic upper bound of logZ in expectation, so that
+    snapshot); chains start there and anneal down to the uniform base,
+    giving a stochastic upper bound of logZ in expectation, so that
     [raise_logZ, ais_logZ] brackets the truth.
     """
     samples = np.asarray(samples, dtype=np.float64)
@@ -279,7 +232,6 @@ def raise_logZ(net, cfg, rng, samples):
     d = net.config.input_dim
     if samples.shape[1] != d:
         raise DimensionError(f"samples have dimension {samples.shape[1]}, model wants {d}")
-    base = _Base(cfg.base, d)
     betas = cfg.ladder()
     net = net.frozen()
     rows = rng.integers(0, samples.shape[0], size=cfg.chains)
@@ -287,9 +239,10 @@ def raise_logZ(net, cfg, rng, samples):
     logw = np.zeros(cfg.chains)
     e, g = net.grad_x(x, with_energy=True)
     for t in range(len(betas) - 2, -1, -1):
-        logw += (betas[t + 1] - betas[t]) * (e - base.energy(x))
-        x, e, g = _mala_sweep(net, base, betas[t], x, e, g, cfg, rng)
-    return base.log_partition - _log_mean_exp(logw)
+        logw += (betas[t + 1] - betas[t]) * e
+        x, e, g = _mala_sweep(net, betas[t], x, e, g, cfg, rng)
+    # 0.0 - L, not -L: a flat energy gives 0, not -0
+    return 0.0 - _log_mean_exp(logw)
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +255,12 @@ def auroc(scores_in, scores_out):
     b = np.asarray(scores_out, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise DataError("auroc needs nonempty score lists")
-    combined = np.concatenate([a, b])
-    order = np.argsort(combined, kind="stable")
-    ranks = np.empty(combined.size)
-    sorted_vals = combined[order]
-    # average ranks over tied runs
-    i = 0
-    while i < sorted_vals.size:
-        j = i
-        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = ranks[:a.size].sum()
+    # 1-based rank of each in-distribution score among all scores; a tied
+    # run filling sorted positions left .. right - 1 shares their mean rank
+    ranked = np.sort(np.concatenate([a, b]))
+    left = np.searchsorted(ranked, a, side="left")
+    right = np.searchsorted(ranked, a, side="right")
+    rank_sum = (0.5 * (left + right - 1) + 1.0).sum()
     u = rank_sum - a.size * (a.size + 1) / 2.0
     return float(u / (a.size * b.size))
 
@@ -399,16 +345,18 @@ def refined_classify(net, x, eps, cfg, rng):
     scores = np.empty((x.shape[0], n_classes))
     for c in range(n_classes):
         labels = np.full(x.shape[0], c, dtype=np.intp)
-        refined = refine_bounded(x, eps, net, cfg, rng, labels=labels)
+        refined = run_chain(x, net, replace(cfg, eps_box=eps), rng,
+                            labels=labels)
         scores[:, c] = net.energy(refined, labels=labels)
     return np.argmin(scores, axis=1)
 
 
-def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
+def pgd_attack(net, x, y_true, eps, steps=20, norm="linf"):
     """Projected gradient ascent on the cross-entropy of energy logits.
 
     Logits are negative per-class energies. Deterministic: iterates start
-    at x itself (no random restart). Every step is projected back to the
+    at x itself (no random restart). Each step moves eps / 4 along the
+    gradient's sign (linf) or direction (l2) and is projected back to the
     eps-ball around the input and to the unit cube. A step that leaves
     the iterate unchanged ends the attack, as every later one would too.
     """
@@ -416,8 +364,7 @@ def pgd_attack(net, x, y_true, eps, steps=20, step_size=None, norm="linf"):
     steps = checked("steps", steps, int, ge=0)
     if norm not in ("linf", "l2"):
         raise ConfigError(f"norm must be 'linf' or 'l2', got {norm!r}")
-    if step_size is None:
-        step_size = eps / 4.0
+    step_size = eps / 4.0
     n_classes = net.config.num_classes
     if n_classes <= 0:
         raise LabelError("pgd_attack needs a conditional model")
@@ -464,6 +411,9 @@ def mode_coverage(samples, centers, radius):
     if samples.size == 0:
         return np.zeros(k), 0.0
     samples = np.atleast_2d(samples)
+    if samples.ndim != 2 or samples.shape[1] != centers.shape[1]:
+        raise DimensionError(f"samples of shape {samples.shape} for centers "
+                             f"of dimension {centers.shape[1]}")
     dists = np.linalg.norm(samples[:, None, :] - centers[None, :, :], axis=2)
     nearest = dists.argmin(axis=1)
     within = dists[np.arange(samples.shape[0]), nearest] <= radius

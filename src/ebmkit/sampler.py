@@ -222,10 +222,3 @@ def inpaint(x_corrupt, mask, net, cfg, rng, labels=None):
         raise DimensionError(
             f"mask shape {mask.shape} does not match inputs of shape {x.shape}")
     return run_chain(x, net, replace(cfg, mask=mask), rng, labels=labels)
-
-
-def refine_bounded(x0, eps_box, net, cfg, rng, labels=None):
-    """Sample while staying within an L-infinity ball of radius eps_box
-    around x0. Returns the refined batch."""
-    return run_chain(x0, net, replace(cfg, eps_box=eps_box), rng,
-                     labels=labels)

@@ -222,18 +222,15 @@ def kl_finetune_loss(net, snapshot, langevin, rng, init, labels=None):
     return loss, grads
 
 
-def kl_finetune_step(net, snapshot, cfg, state, rng, *, langevin=None,
-                     init=None):
+def kl_finetune_step(net, snapshot, cfg, state, rng):
     """Differentiate through the sampler and Adam-update the parameters.
 
-    snapshot provides the frozen target energy; langevin defaults to
-    cfg.langevin. init defaults to cfg.batch_size rows of uniform noise
-    on [0,1]^d. Returns the scalar loss.
+    snapshot provides the frozen target energy. The chain is cfg.langevin,
+    started from cfg.batch_size rows of uniform noise on [0,1]^d. Returns
+    the scalar loss.
     """
-    langevin = cfg.langevin if langevin is None else langevin
-    if init is None:
-        init = rng.uniform(size=(cfg.batch_size, net.config.input_dim))
-    loss, grads = kl_finetune_loss(net, snapshot, langevin, rng, init)
+    init = rng.uniform(size=(cfg.batch_size, net.config.input_dim))
+    loss, grads = kl_finetune_loss(net, snapshot, cfg.langevin, rng, init)
     adam_step(net.parameters(), grads, state, cfg)
     if net.config.spectral_norm:
         net.spectral_update()

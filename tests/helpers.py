@@ -453,22 +453,19 @@ def reference_backward(net, x, labels=None, r=None, c=None):
                 for k in ("w", "b", "gamma", "beta") if k in g}
 
 
-def _recomputing_mala_sweep(net, base, beta, x, u, cfg, rng, drift):
-    """Each transition evaluates the rung gradient at x afresh."""
-    def rung_energy(v):
-        return (1.0 - beta) * base.energy(v) + beta * net.energy(v)
-
-    def rung_grad(v):
-        return (1.0 - beta) * base.grad(v) + beta * net.grad_x(v)
+def _recomputing_mala_sweep(net, beta, x, u, cfg, rng):
+    """Each transition evaluates the rung gradient at x afresh. The rung
+    density is exp(-beta E) on the unit cube."""
+    from ebmkit.metrics import _tamed_drift
 
     h = cfg.step_size
     for _ in range(cfg.transitions):
-        mean_fwd = x + drift(rung_grad(x), h, cfg.drift_clip)
+        mean_fwd = x + _tamed_drift(beta * net.grad_x(x), h)
         prop = mean_fwd + np.sqrt(h) * rng.normal(size=x.shape)
-        ok = base.in_support(prop)
-        u_prop = np.where(ok, rung_energy(prop), np.inf)
-        g_prop = rung_grad(np.where(ok[:, None], prop, x))
-        mean_bwd = prop + drift(g_prop, h, cfg.drift_clip)
+        ok = np.all((prop >= 0.0) & (prop <= 1.0), axis=1)
+        u_prop = np.where(ok, beta * net.energy(prop), np.inf)
+        g_prop = beta * net.grad_x(np.where(ok[:, None], prop, x))
+        mean_bwd = prop + _tamed_drift(g_prop, h)
         log_q_fwd = -np.sum((prop - mean_fwd) ** 2, axis=1) / (2.0 * h)
         log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h)
         with np.errstate(invalid="ignore"):
@@ -483,32 +480,28 @@ def recomputing_logZ(net, cfg, rng, samples=None):
     """The AIS estimate (samples None) or the RAISE estimate (samples
     given) with a MALA sweep that recomputes the gradient at the current
     state on every transition and the net energy after every rung. The
-    base distribution and the drift cap come from ebmkit.metrics; only
-    the bookkeeping differs from the library's estimators."""
-    from ebmkit.metrics import _Base, _tamed_drift
-
-    base = _Base(cfg.base, net.config.input_dim)
+    base is the uniform density on the unit cube (energy 0, logZ 0) and
+    the drift cap comes from ebmkit.metrics; only the bookkeeping differs
+    from the library's estimators."""
     betas = cfg.ladder()
     if samples is None:
-        x, order = base.sample(cfg.chains, rng), range(1, len(betas))
+        x = rng.uniform(size=(cfg.chains, net.config.input_dim))
+        order = range(1, len(betas))
     else:
         x = samples[rng.integers(0, samples.shape[0], size=cfg.chains)]
         order = range(len(betas) - 2, -1, -1)
     logw = np.zeros(cfg.chains)
     for t in order:
-        e_base, e_target = base.energy(x), net.energy(x)
+        e_target = net.energy(x)
         if samples is None:
-            logw += (betas[t] - betas[t - 1]) * (e_base - e_target)
+            logw -= (betas[t] - betas[t - 1]) * e_target
         else:
-            logw += (betas[t + 1] - betas[t]) * (e_target - e_base)
-        u = (1.0 - betas[t]) * e_base + betas[t] * e_target
-        x = _recomputing_mala_sweep(net, base, betas[t], x, u, cfg, rng,
-                                    _tamed_drift)
+            logw += (betas[t + 1] - betas[t]) * e_target
+        x = _recomputing_mala_sweep(net, betas[t], x, betas[t] * e_target,
+                                    cfg, rng)
     m = np.max(logw)
     log_mean_w = float(m + np.log(np.mean(np.exp(logw - m))))
-    if samples is None:
-        return base.log_partition + log_mean_w
-    return base.log_partition - log_mean_w
+    return log_mean_w if samples is None else 0.0 - log_mean_w
 
 
 def one_call_quadrature(net, lo, hi, resolution):
@@ -562,8 +555,7 @@ def stepwise_chain(init, net, cfg, rng, labels=None, record=None):
     return x
 
 
-def pgd_attack_reference(net, x, y_true, eps, steps=20, step_size=None,
-                         norm="linf"):
+def pgd_attack_reference(net, x, y_true, eps, steps=20, norm="linf"):
     """metrics.pgd_attack as it was before it took the class energies
     from its gradient calls and stopped at a repeated iterate: every one
     of the steps scores all classes with metrics.class_energies (K energy
@@ -571,8 +563,7 @@ def pgd_attack_reference(net, x, y_true, eps, steps=20, step_size=None,
     are left to the library."""
     from ebmkit.metrics import class_energies
 
-    if step_size is None:
-        step_size = eps / 4.0
+    step_size = eps / 4.0
     x0 = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_true, dtype=np.intp)
     adv = x0.copy()

@@ -9,6 +9,7 @@ checkpoints once and share them.
 
 import argparse
 import contextlib
+import copy
 import io
 import os
 import platform
@@ -24,12 +25,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import yaml
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import ebmkit
-from ebmkit.checkpoint import load_checkpoint
-from ebmkit.cli import _keep_large_arrays_on_heap, build_parser, main
+from ebmkit.checkpoint import load_checkpoint, save_checkpoint
+from ebmkit.cli import (DATASET_DEFAULTS, DEFAULTS,
+                        _keep_large_arrays_on_heap, build_parser, main)
+from ebmkit.model import EnergyNet, ModelConfig
+from ebmkit.sampler import ReplayBuffer
 
 from helpers import (MALFORMED_MANIFESTS, save_stateful_checkpoint,
                      simpson_log_partition, with_manifest)
@@ -363,6 +368,26 @@ def test_mode_coverage_rows(cond_ckpt, workdir):
     vals = _metric_values(out)
     assert set(vals) == {"coverage_0", "coverage_1", "unassigned"}
     assert all(0.0 <= v <= 1.0 for v in vals.values())
+
+
+def test_mode_coverage_center_dimension_mismatch_is_one_line(workdir, capsys):
+    """Centers of the recorded dataset (3-D) that do not match the replay
+    buffer's samples (2-D) are a dimension error, not a traceback."""
+    rng = np.random.default_rng(0)
+    net = EnergyNet.init(ModelConfig(widths=(2, 4, 1)), rng)
+    buf = ReplayBuffer(capacity=8)
+    buf.insert(rng.uniform(size=(8, 2)))
+    spec = {"kind": "mixture", "centers": [[0.5, 0.5, 0.5]], "sigma": 0.05,
+            "n": 8, "n_test": 4}
+    ckpt = workdir / "coverage-3d-centers.ebm"
+    save_checkpoint(ckpt, net, dataset=spec, seed=0, buffer=buf)
+    out = workdir / "coverage-3d-centers.csv"
+    code = main(["eval", "--checkpoint", str(ckpt), "--metric",
+                 "mode-coverage", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error dimension:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_ood_auroc_ranks_data_above_uniform(cond_ckpt, workdir):
@@ -908,23 +933,18 @@ def _assert_finite_rows(text, command):
         assert np.all(np.isfinite([float(c) for c in cells])), row
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(case=st.sampled_from(FUZZ_CASES))
-def test_numeric_flag_fuzz_keeps_the_cli_contract(fuzz_inputs, workdir, case):
-    """Each call exits 0 with finite outputs, or prints exactly one
-    "error <category>:" line, exits 1 and writes no output; no Python
-    warning either way."""
-    name, flag, value = case
-    argv = [a.format(**fuzz_inputs) for a in FUZZ_COMMANDS[name]]
-    out = workdir / "fuzz-out"
-    written = [out, workdir / "fuzz-out.metrics.csv"]
+def _keeps_the_contract(argv, out):
+    """Run argv with --out out. It must exit 0 with finite outputs, or
+    print exactly one "error <category>:" line, exit 1 and write no
+    output; no Python warning either way. Returns the exit code."""
+    written = [out, out.parent / f"{out.name}.metrics.csv"]
     for path in written:
         path.unlink(missing_ok=True)
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main(argv + [f"{flag}={value}", "--out", str(out)])
+        code = main(argv + ["--out", str(out)])
     assert not caught, [str(w.message) for w in caught]
     if code == 0:
         assert err.getvalue() == ""
@@ -933,6 +953,108 @@ def test_numeric_flag_fuzz_keeps_the_cli_contract(fuzz_inputs, workdir, case):
         assert code == 1
         assert re.fullmatch(r"error [a-z-]+: [^\n]*\n", err.getvalue())
         assert not any(path.exists() for path in written)
+    return code
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=st.sampled_from(FUZZ_CASES))
+def test_numeric_flag_fuzz_keeps_the_cli_contract(fuzz_inputs, workdir, case):
+    name, flag, value = case
+    argv = [a.format(**fuzz_inputs) for a in FUZZ_COMMANDS[name]]
+    _keeps_the_contract(argv + [f"{flag}={value}"], workdir / "fuzz-out")
+
+
+# Each YAML fuzz case sets one key path of the defaults to one of these.
+# Large counts (say n: 1000000000) are left out on purpose: the data
+# generators would try to allocate that many rows, and the config does not
+# bound counts. For the same reason {} is not given to a section: it puts
+# back the default sizes (2000 training steps) of a full run.
+YAML_FUZZ_VALUES = (None, "abc", [], {}, [1], -1, 0, 0.5, True, 3,
+                    [[0.5, 0.5]], [0, 1])
+
+# Tiny runs for each command the fuzz covers. train runs on every dataset
+# kind, with the input width of its data.
+_TINY_RUN = {"train": {"total_steps": 2, "batch_size": 4},
+             "langevin": {"steps": 2}}
+_TINY_DATA = {"mixture": (2, {"n": 8, "n_test": 4}),
+              "ring": (2, {"n": 8, "n_test": 4}),
+              "sprites": (256, {"n_per_combo": 2}),
+              "trajectories": (5, {"n_trajectories": 30, "length": 5})}
+_TINY_CONTINUAL = {"model": {"widths": [2, 4, 1]}, **_TINY_RUN,
+                   "continual": {"n": 40, "n_test": 20, "steps_per_task": 1}}
+_TINY_FINETUNE = {"finetune": {"epochs": 1, "batch_size": 4,
+                               "combos": [[0, 1]], "chain": {"steps": 2}}}
+
+# The commands that rebuild data from a trained checkpoint's provenance.
+_CHECKPOINT_EVALS = (
+    ["--metric", "ks-overfit"],
+    ["--metric", "mode-coverage", "--n", "4"],
+    ["--metric", "frechet-rollout", "--horizon", "2", "--steps", "2"])
+
+
+def _fuzzed(tree, prefix=()):
+    """(key path, value) of each fuzz case under a tree of defaults."""
+    for key, default in tree.items():
+        path = prefix + (key,)
+        for value in YAML_FUZZ_VALUES:
+            if not (isinstance(default, dict) and value == {}):
+                yield path, value
+        if isinstance(default, dict):
+            yield from _fuzzed(default, path)
+
+
+def _tiny_train(kind):
+    d, data = _TINY_DATA[kind]
+    return {"model": {"widths": [d, 4, 1]}, **_TINY_RUN,
+            "dataset": {"kind": kind, **data}}
+
+
+def _with_value(config, path, value):
+    config = copy.deepcopy(config)
+    node = config
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return config
+
+
+_TRAIN_SECTIONS = {name: DEFAULTS[name]
+                   for name in ("model", "train", "langevin")}
+YAML_FUZZ_CASES = (
+    [("train", _with_value(_tiny_train(kind), path, value))
+     for kind in _TINY_DATA
+     for path, value in _fuzzed({**_TRAIN_SECTIONS,
+                                 "dataset": DATASET_DEFAULTS[kind]})]
+    + [("continual", _with_value(_TINY_CONTINUAL, path, value))
+       for path, value in _fuzzed({**_TRAIN_SECTIONS,
+                                   "continual": DEFAULTS["continual"]})]
+    + [("compose", _with_value(_TINY_FINETUNE, path, value))
+       for path, value in _fuzzed({"finetune": DEFAULTS["finetune"]})])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(14)
+@given(case=st.sampled_from(YAML_FUZZ_CASES))
+def test_yaml_key_path_fuzz_keeps_the_cli_contract(fuzz_inputs, workdir,
+                                                   case):
+    """train, continual and compose --finetune-config, then the
+    evaluations that rebuild data from each checkpoint that trained."""
+    command, config = case
+    cfg = workdir / "yaml-fuzz.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = workdir / "yaml-fuzz.out"
+    if command == "compose":
+        argv = ["compose", "--checkpoints", fuzz_inputs["cond"],
+                fuzz_inputs["cond"], "--labels", "0", "1",
+                "--finetune-config", str(cfg), "--n", "2", "--steps", "2"]
+    else:
+        argv = [command, "--config", str(cfg)]
+    if _keeps_the_contract(argv, out) == 0 and command == "train":
+        ckpt = workdir / "yaml-fuzz.ckpt"
+        out.replace(ckpt)
+        for flags in _CHECKPOINT_EVALS:
+            _keeps_the_contract(["eval", "--checkpoint", str(ckpt), *flags],
+                                workdir / "yaml-fuzz-eval.csv")
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

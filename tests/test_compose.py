@@ -125,9 +125,9 @@ def test_joint_samples_land_on_ridge_intersection():
 def test_single_component_joint_sampling_matches_run_chain():
     net = _random_net(10)
     cfg = LangevinConfig(steps=30, clamp=(0.0, 1.0))
-    init = np.random.default_rng(11).uniform(size=(8, 2))
-    a = joint_sample([(net, None)], cfg, np.random.default_rng(12), init=init)
-    b = run_chain(init, net, cfg, np.random.default_rng(12))
+    a = joint_sample([(net, None)], cfg, np.random.default_rng(12), n=8)
+    rng = np.random.default_rng(12)
+    b = run_chain(rng.uniform(size=(8, 2)), net, cfg, rng)
     assert np.array_equal(a, b)
 
 
@@ -141,7 +141,7 @@ def test_product_of_gaussians_moments():
                          grad_clip=1e9, clamp=None)
     rng = np.random.default_rng(13)
     init = rng.uniform(size=(4096, 1)) + 0.5
-    samples = joint_sample([(a, None), (b, None)], cfg, rng, init=init)
+    samples = run_chain(init, SummedEnergy([(a, None), (b, None)]), cfg, rng)
     target_var = 0.25 ** 2 / 2
     n = samples.shape[0]
     se_mean = np.sqrt(target_var / n)

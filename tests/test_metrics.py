@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebmkit.errors import (ConfigError, DataError, DegenerateEstimateError,
                            DimensionError, LabelError)
@@ -124,17 +126,10 @@ def test_chunked_quadrature_matches_one_call_bit_for_bit(widths, activation,
             == one_call_quadrature(net, 0.0, 1.0, resolution))
 
 
-def test_quadrature_per_axis_bounds():
-    net = QuadraticEnergy(mu=[0.0], prec=[[1.0]])
-    a = log_partition_quadrature(net, ((-10.0, 10.0),), 1e-3)
-    b = log_partition_quadrature(net, (-10.0, 10.0), 1e-3)
-    assert a == b
-
-
 def test_quadrature_rejects_high_dimension():
     net = QuadraticEnergy(dim=3)
     with pytest.raises(DimensionError):
-        log_partition_quadrature(net, [(-1, 1)] * 3, 0.1)
+        log_partition_quadrature(net, (-1, 1), 0.1)
 
 
 @pytest.mark.parametrize("dim,resolution", [
@@ -170,14 +165,10 @@ def test_ais_config_validation():
     with pytest.raises(ConfigError):
         AISConfig(chains=0)
     with pytest.raises(ConfigError):
-        AISConfig(base="cauchy")
-    with pytest.raises(ConfigError):
         AISConfig(step_size=0.0)
     for value in (np.inf, np.nan):
         with pytest.raises(ConfigError):
             AISConfig(step_size=value)
-    with pytest.raises(ConfigError):
-        AISConfig(drift_clip=np.inf)
 
 
 def test_ais_target_equals_base_exact_zero():
@@ -288,13 +279,11 @@ def _spectral_net():
     return net
 
 
-@pytest.mark.parametrize("base", ["uniform", "gaussian"])
-def test_estimates_match_recomputing_sweep_bit_for_bit(base):
+def test_estimates_match_recomputing_sweep_bit_for_bit():
     """Carrying energies and gradients through the MALA sweep changes
     the call count, not a single bit of either estimate."""
     net = _spectral_net()
-    cfg = AISConfig(chains=48, temps=12, transitions=2, base=base,
-                    step_size=0.02)
+    cfg = AISConfig(chains=48, temps=12, transitions=2, step_size=0.02)
     samples = np.random.default_rng(41).uniform(size=(32, 2))
     lower, _ = ais_logZ(net, cfg, np.random.default_rng(42))
     assert lower == recomputing_logZ(net, cfg, np.random.default_rng(42))
@@ -357,6 +346,22 @@ def test_auroc_monotone_transform_invariant():
     base = auroc(a, b)
     assert auroc(3.0 * a + 2.0, 3.0 * b + 2.0) == base
     assert auroc(np.tanh(a), np.tanh(b)) == base
+
+
+# Few distinct values, so that ties within and across the two lists are
+# common, mixed with arbitrary floats.
+_SCORES = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+                   | st.floats(allow_nan=False), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(a=_SCORES, b=_SCORES)
+def test_auroc_matches_pairwise_count(a, b):
+    """Wins plus half the ties over all n * m pairs, bit for bit."""
+    a, b = np.array(a), np.array(b)
+    wins = np.sum(a[:, None] > b[None, :])
+    ties = np.sum(a[:, None] == b[None, :])
+    assert auroc(a, b) == (wins + 0.5 * ties) / (a.size * b.size)
 
 
 def test_auroc_empty_error():
@@ -718,6 +723,11 @@ def test_mode_coverage_counts_outside_radius_as_unassigned():
     fracs, unassigned = mode_coverage(samples, centers, 0.1)
     assert fracs[0] == 0.5
     assert unassigned == 0.5
+
+
+def test_mode_coverage_rejects_dimension_mismatch():
+    with pytest.raises(DimensionError):
+        mode_coverage(np.zeros((8, 2)), np.full((3, 3), 0.5), 0.1)
 
 
 def test_mode_coverage_rejects_bad_radius():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ebmkit.errors import ChainDivergedError, ConfigError, DimensionError
 from ebmkit.sampler import (LangevinConfig, ReplayBuffer, init_batch,
-                            inpaint, langevin_step, refine_bounded, run_chain)
+                            inpaint, langevin_step, run_chain)
 
 from helpers import (CallCounter, GaussianMixtureEnergy, QuadraticEnergy,
                      stepwise_chain)
@@ -400,11 +400,13 @@ class TestInpaint:
 
 
 class TestRefineBounded:
+    """run_chain with eps_box: the bounded refinement of refined_classify."""
+
     def test_tiny_ball_returns_nearly_input(self):
         net = QuadraticEnergy(dim=2)
         x0 = np.random.default_rng(14).uniform(size=(4, 2))
-        out = refine_bounded(x0, 1e-9, net, LangevinConfig(steps=20),
-                             np.random.default_rng(0))
+        out = run_chain(x0, net, LangevinConfig(steps=20, eps_box=1e-9),
+                        np.random.default_rng(0))
         # one ulp of slack: the ball edge x0 + 1e-9 itself rounds
         assert np.max(np.abs(out - x0)) <= 1e-9 * (1.0 + 1e-6)
 
@@ -422,14 +424,14 @@ class TestRefineBounded:
     def test_refinement_reduces_energy_near_mode(self):
         net = four_mode_2d()
         cfg = LangevinConfig(steps=60, step_size=2.5e-4, noise=0.001,
-                             grad_clip=1e6)
+                             grad_clip=1e6, eps_box=0.03)
         rng = np.random.default_rng(16)
         wins = 0
         trials = 100
         for _ in range(trials):
             mode = net.means[rng.integers(0, 4)]
             x0 = (mode + rng.normal(scale=0.02, size=2))[None, :]
-            refined = refine_bounded(x0, 0.03, net, cfg, rng)
+            refined = run_chain(x0, net, cfg, rng)
             assert np.max(np.abs(refined - x0)) <= 0.03 + 1e-15
             if net.energy(refined)[0] <= net.energy(x0)[0]:
                 wins += 1

@@ -262,7 +262,9 @@ class TestKlFinetune:
 
     def test_one_step_gradient_sign_pulls_center_home(self):
         # x1 = x0 - lam*(x0 - mu); at x0 = 0 the loss is 0.5 lam^2 mu^2,
-        # so d loss / d mu = lam^2 mu > 0 for mu > 0.
+        # so d loss / d mu = lam^2 mu > 0 for mu > 0. From any x0 in
+        # [0, 1), x1 = (1 - lam) x0 + lam mu > 0, and d loss / d mu =
+        # lam x1 > 0 still, so the uniform start of the step moves mu down.
         net, snap = self.quad_pair()
         lam = 0.1
         lang = LangevinConfig(steps=1, step_size=lam, noise=0.0, grad_clip=10)
@@ -274,8 +276,9 @@ class TestKlFinetune:
 
         state = AdamState.for_parameters(net.parameters())
         mu_before = float(net.mu[0])
-        kl_finetune_step(net, snap, TrainConfig(lr=1e-2, batch_size=1), state,
-                         np.random.default_rng(0), langevin=lang, init=init)
+        kl_finetune_step(net, snap,
+                         TrainConfig(lr=1e-2, batch_size=1, langevin=lang),
+                         state, np.random.default_rng(0))
         assert float(net.mu[0]) < mu_before
 
     def test_taped_chain_gradient_matches_finite_differences(self):
