@@ -35,7 +35,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, checked
-from .model import EnergyNet, Layer, ModelConfig, layer_shapes
+from .model import (EnergyNet, Layer, ModelConfig, layer_shapes,
+                    spectral_sigma)
 from .sampler import ReplayBuffer
 from .trainer import AdamState
 
@@ -192,6 +193,14 @@ def load_checkpoint(path):
                        for k, shape in entry.items()})
               for entry in layer_shapes(config.widths, config.num_classes,
                                         config.spectral_norm)]
+    for i, layer in enumerate(layers):
+        if layer.u is not None:
+            with np.errstate(all="ignore"):
+                sigma = spectral_sigma(layer)
+            if not (math.isfinite(sigma) and sigma > 0.0):
+                raise ContractError(
+                    f"layer {i} has spectral scale {sigma:g}; the scale "
+                    f"must be finite and positive")
     net = EnergyNet(config, layers)
 
     adam = None

@@ -22,6 +22,7 @@ import io
 import logging
 import math
 import os
+import pickle
 import sys
 import warnings
 
@@ -37,7 +38,7 @@ from .metrics import (AISConfig, ais_logZ, auroc, class_energies,
                       energy_classify, frechet_gaussian, ks_statistic,
                       log_partition_quadrature, metric_csv_row,
                       mode_coverage, pgd_attack, raise_logZ,
-                      refined_classify)
+                      refined_classify, rng_after_ais)
 from .model import EnergyNet, ModelConfig
 from .sampler import LangevinConfig, ReplayBuffer, inpaint, run_chain
 from .trainer import AdamState, TrainConfig, train_step
@@ -461,7 +462,134 @@ def cmd_compose(args):
     return 0
 
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Beside:
+    """fn(*args) run beside a with-block, its value in .value afterwards.
+
+    Where os.fork exists and at least 2 CPUs are usable, fn runs in a
+    forked child process while the block runs here; otherwise, or if the
+    fork fails, it runs inline once the block is done. Either way the
+    caller sees what the inline call gives: fn's value, fn's error
+    re-raised here, and fn's warnings issued here after the block, in
+    their order and through this process's filters. The child writes
+    nothing itself. It sends its outcome through a pipe and leaves by
+    os._exit on every path, so it never returns into the caller. The
+    child is always reaped; when the block raises, it is killed first
+    and its outcome is dropped, as an inline fn would not have run. A
+    child that dies without sending its outcome is a ChildProcessError.
+    """
+
+    def __init__(self, fn, *args):
+        self._call = (fn, args)
+        self._pid = self._pipe = None
+        self.value = None
+
+    def __enter__(self):
+        if hasattr(os, "fork") and _usable_cpus() >= 2:
+            read_end, write_end = os.pipe()
+            # Python 3.12 warns that forking a threaded process may
+            # deadlock the child. The threads here are OpenBLAS workers,
+            # which OpenBLAS's own fork handler stops first.
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:         # no process to spare: run inline
+                os.close(read_end)
+                os.close(write_end)
+                return self
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pipe.write(self._outcome())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            self._pid, self._pipe = pid, read_end
+        return self
+
+    def _outcome(self):
+        """Pickled ((value, error), warnings) of the call, every warning
+        recorded so that the parent's filters decide which are shown."""
+        fn, args = self._call
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outcome = (fn(*args), None)
+            except Exception as exc:
+                outcome = (None, exc)
+        return pickle.dumps((outcome, [(w.message, w.category, w.filename,
+                                        w.lineno) for w in caught]))
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._pid is None:
+            if exc_type is None:
+                fn, args = self._call
+                self.value = fn(*args)
+            return False
+        data = None
+        try:
+            if exc_type is None:
+                with os.fdopen(self._pipe, "rb") as pipe:
+                    data = pipe.read()
+            else:
+                os.close(self._pipe)
+        finally:
+            if data is None:
+                # imported here: at the top, this module raised the peak
+                # RSS of every command by up to 0.1 MB
+                import signal
+                os.kill(self._pid, signal.SIGKILL)
+            _, status = os.waitpid(self._pid, 0)
+        if exc_type is None:
+            if status != 0:         # it exits 0 once its outcome is sent
+                raise ChildProcessError(
+                    f"the second process ended without a result "
+                    f"(wait status {status})")
+            (self.value, error), caught = pickle.loads(data)
+            _replay(caught)
+            if error is not None:
+                raise error
+        return False
+
+
+def _replay(caught):
+    """Issue recorded warnings as warnings.warn would have from their
+    module: its name for the filters, its registry for "once per
+    location"."""
+    modules = {getattr(m, "__file__", None): m
+               for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+            continue
+        g = vars(module)
+        warnings.warn_explicit(
+            message, category, filename, lineno, module=g["__name__"],
+            registry=g.setdefault("__warningregistry__", {}),
+            module_globals=g)
+
+
 def _eval_logz(args, bundle, rng):
+    """The logZ bracket: quadrature (1-D and 2-D), AIS and RAISE rows.
+
+    RAISE starts from the generator state AIS leaves behind
+    (rng_after_ais), so the two estimators are independent. When at
+    least 2 CPUs are usable, RAISE runs in a forked second process while
+    AIS runs here (_Beside); otherwise it runs after AIS. The output
+    bytes, the error and the warnings are the same either way.
+    """
     net = bundle.net
     if net.config.num_classes > 0:
         raise ConfigError("logz-bracket needs an unconditional model")
@@ -490,10 +618,11 @@ def _eval_logz(args, bundle, rng):
     setup = {"chains": cfg.chains, "temps": cfg.temps,
              "transitions": cfg.transitions, "step_size": cfg.step_size,
              "seed": args.seed}
-    lower = ais_logZ(net, cfg, rng)[0]
-    upper = raise_logZ(net, cfg, rng, exact)
+    with _Beside(raise_logZ, net, cfg, rng_after_ais(rng, cfg, d),
+                 exact) as upper:
+        lower = ais_logZ(net, cfg, rng)[0]
     return [metric_csv_row("logz_lower", lower, **setup),
-            metric_csv_row("logz_upper", upper, **setup)] + quadrature
+            metric_csv_row("logz_upper", upper.value, **setup)] + quadrature
 
 
 def _marginal_energy(net, x):
@@ -794,7 +923,10 @@ def build_parser():
 
     p = sub.add_parser("eval", help="compute one evaluation metric")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--metric", choices=sorted(_EVALUATORS), required=True)
+    p.add_argument("--metric", choices=sorted(_EVALUATORS), required=True,
+                   help="logz-bracket runs RAISE in a forked second process "
+                        "beside AIS when at least 2 CPUs are usable, else "
+                        "after it; the output bytes are the same")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--chains", type=_flag("chains", int, ge=1), default=64)

@@ -11,7 +11,11 @@ and the uniform density on the unit cube [0, 1]^d, whose log-partition is
 0. Their MALA sweeps carry each chain's net energy and gradient along with
 its state, and take both at a proposal from one
 grad_x(..., with_energy=True) pass, so one transition costs one grad_x
-call and no energy call.
+call and no energy call. RAISE needs the generator state AIS leaves
+behind; rng_after_ais reaches it by making AIS's draws alone, so
+`ebmkit eval --metric logz-bracket` runs RAISE in a forked second process
+beside AIS when at least 2 CPUs are usable, with the same output bytes as
+running it after AIS.
 
 The remaining metrics are standard: Mann-Whitney AUROC, the Gaussian
 Frechet distance in Dowson-Landau closed form, a two-sample KS statistic,
@@ -36,6 +40,7 @@ __all__ = [
     "AISConfig",
     "log_partition_quadrature",
     "ais_logZ",
+    "rng_after_ais",
     "raise_logZ",
     "auroc",
     "class_energies",
@@ -216,6 +221,26 @@ def ais_logZ(net, cfg, rng):
     else:
         se = 0.0
     return estimate, se
+
+
+def rng_after_ais(rng, cfg, dim):
+    """A copy of rng advanced past exactly the draws that ais_logZ makes
+    for cfg on a dim-dimensional net: the uniform starts, then per rung
+    and per transition one normal proposal block and one uniform
+    acceptance vector. rng itself is left as it is.
+
+    raise_logZ on the copy gives the same bits as raise_logZ run on rng
+    after ais_logZ, so the two estimators can run at the same time.
+    """
+    state = rng.bit_generator.state
+    rng = np.random.Generator(type(rng.bit_generator)())
+    rng.bit_generator.state = state
+    rng.uniform(size=(cfg.chains, dim))
+    for _ in range(cfg.temps - 1):
+        for _ in range(cfg.transitions):
+            rng.normal(size=(cfg.chains, dim))
+            rng.uniform(size=cfg.chains)
+    return rng
 
 
 def raise_logZ(net, cfg, rng, samples):

@@ -143,6 +143,13 @@ def layer_shapes(widths, num_classes, spectral_norm):
     return shapes
 
 
+def spectral_sigma(layer):
+    """The spectral scale |W^T u| that divides layer.w; layer.u must be
+    set. A checkpoint is refused unless it is finite and positive."""
+    wu = layer.w.T @ layer.u
+    return np.sqrt(wu.dot(wu))      # np.linalg.norm's own arithmetic
+
+
 def _trainable(layer):
     """(field, array) pairs of a layer's trainable arrays: w, b, then
     gamma and beta when present (u is estimator state, not a parameter)."""
@@ -232,8 +239,7 @@ class EnergyNet:
     def _effective_weight(self, layer):
         if not self.config.spectral_norm or layer.u is None:
             return layer.w
-        wu = layer.w.T @ layer.u
-        sigma = np.sqrt(wu.dot(wu))     # np.linalg.norm's own arithmetic
+        sigma = spectral_sigma(layer)
         if sigma == 0.0:
             warnings.warn("zero weight matrix, spectral scale skipped")
             return layer.w

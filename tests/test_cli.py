@@ -20,6 +20,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -30,9 +31,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import ebmkit
+from ebmkit import cli
 from ebmkit.checkpoint import load_checkpoint, save_checkpoint
 from ebmkit.cli import (DATASET_DEFAULTS, DEFAULTS,
                         _keep_large_arrays_on_heap, build_parser, main)
+from ebmkit.errors import DegenerateEstimateError
 from ebmkit.model import EnergyNet, ModelConfig
 from ebmkit.sampler import ReplayBuffer
 
@@ -352,6 +355,146 @@ def test_eval_is_byte_deterministic(oned_ckpt, workdir):
     assert files[0].read_bytes() == files[1].read_bytes()
 
 
+def _logz_argv(ckpt, seed, out, *extra):
+    return ["eval", "--checkpoint", str(ckpt), "--metric", "logz-bracket",
+            "--chains", "32", "--temps", "12", "--seed", str(seed),
+            "--out", str(out), *extra]
+
+
+@pytest.fixture(scope="module")
+def square_points(workdir):
+    """Reverse-estimator samples for the 2-D mixture checkpoint, whose
+    buffer is empty after 0 training steps."""
+    path = workdir / "square-points.csv"
+    path.write_text("0.25,0.5\n0.75,0.5\n0.5,0.25\n0.5,0.75\n")
+    return path
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_logz_bracket_bytes_do_not_depend_on_the_second_process(
+        oned_ckpt, mixture_ckpt, square_points, workdir, monkeypatch, capfd,
+        dim, seed):
+    """With 2 usable CPUs RAISE runs in a forked child; with 1 it runs
+    after AIS. The files are identical, the child prints nothing, and no
+    child is left once main returns."""
+    ckpt, extra = ((oned_ckpt, ()) if dim == 1 else
+                   (mixture_ckpt, ("--data-file", str(square_points))))
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    outs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: cpus)
+        outs.append(workdir / f"logz-cpus{cpus}-{dim}-{seed}.csv")
+        assert main(_logz_argv(ckpt, seed, outs[-1], *extra)) == 0
+        assert len(forks) == cpus - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_failed_fork_runs_raise_inline(oned_ckpt, workdir, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    outs = [workdir / "logz-forked.csv", workdir / "logz-no-fork.csv"]
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: 2)
+    assert main(_logz_argv(oned_ckpt, 4, outs[0])) == 0
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(_logz_argv(oned_ckpt, 4, outs[1])) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_second_process_that_dies_is_one_error_line(oned_ckpt, workdir,
+                                                    monkeypatch, capsys):
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: 2)
+    monkeypatch.setattr("ebmkit.cli.raise_logZ", lambda *args: os._exit(3))
+    out = workdir / "logz-child-dies.csv"
+    assert main(_logz_argv(oned_ckpt, 3, out)) == 1
+    assert capsys.readouterr().err == (
+        "error io: the second process ended without a result "
+        "(wait status 768)\n")
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_raise_error_keeps_the_contract_in_either_process(
+        oned_ckpt, workdir, monkeypatch, capsys, cpus):
+    def degenerate(*args):
+        raise DegenerateEstimateError("all annealing weights vanished")
+
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: cpus)
+    monkeypatch.setattr("ebmkit.cli.raise_logZ", degenerate)
+    out = workdir / f"logz-degenerate-{cpus}.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_logz_argv(oned_ckpt, 3, out))
+    assert code == 1 and not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error degenerate-estimate:") and err.count("\n") == 1
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ais_error_reaps_the_second_process(oned_ckpt, workdir, monkeypatch,
+                                            capsys, cpus):
+    """An AIS error is the one reported, as RAISE would not have run."""
+    def fails(*args):
+        raise DegenerateEstimateError("AIS failed")
+
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: cpus)
+    monkeypatch.setattr("ebmkit.cli.ais_logZ", fails)
+    monkeypatch.setattr("ebmkit.cli.raise_logZ", lambda *args: time.sleep(30))
+    out = workdir / f"logz-ais-fails-{cpus}.csv"
+    start = time.perf_counter()
+    assert main(_logz_argv(oned_ckpt, 3, out)) == 1
+    assert time.perf_counter() - start < 20
+    assert capsys.readouterr().err == "error degenerate-estimate: AIS failed\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_raise_warnings_reach_the_caller_after_ais_warnings(
+        oned_ckpt, workdir, monkeypatch, cpus):
+    """Warnings issued while RAISE runs in the child are issued again in
+    the parent, after those of AIS, in the order a single process gives."""
+    real_ais, real_raise = cli.ais_logZ, cli.raise_logZ
+
+    def ais(*args):
+        warnings.warn("from ais")
+        return real_ais(*args)
+
+    def raise_(*args):
+        warnings.warn("from raise 1", RuntimeWarning)
+        value = real_raise(*args)
+        warnings.warn("from raise 2")
+        return value
+
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: cpus)
+    monkeypatch.setattr("ebmkit.cli.ais_logZ", ais)
+    monkeypatch.setattr("ebmkit.cli.raise_logZ", raise_)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_logz_argv(oned_ckpt, 3, workdir / "logz-warn.csv")) == 0
+    assert [(str(w.message), w.category) for w in caught] == [
+        ("from ais", UserWarning), ("from raise 1", RuntimeWarning),
+        ("from raise 2", UserWarning)]
+    assert {w.filename for w in caught} == {__file__}
+
+
 def test_ks_overfit_reports_small_gap(cond_ckpt, workdir):
     out = workdir / "ks.csv"
     assert main(["eval", "--checkpoint", str(cond_ckpt),
@@ -534,6 +677,41 @@ def test_version_1_checkpoint_reports_contract_error(workdir, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error contract: unsupported checkpoint format version 1\n"
+
+
+def _scaled_weights(src, dst, factor):
+    """A copy of checkpoint src with every weight matrix times factor."""
+    bundle = load_checkpoint(src)
+    for layer in bundle.net.layers:
+        layer.w = layer.w * factor
+    m = bundle.manifest
+    save_checkpoint(dst, bundle.net, train=m["train"], dataset=m["dataset"],
+                    seed=m["seed"], step_count=m["step_count"],
+                    adam=bundle.adam, buffer=bundle.buffer)
+    return dst
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e160, 1e-310, 0.0])
+@pytest.mark.parametrize("command", [
+    ["eval", "--metric", "logz-bracket", "--chains", "2", "--temps", "3"],
+    ["sample", "--n", "2", "--steps", "2"]], ids=["logz", "sample"])
+def test_spectral_scale_that_is_not_finite_and_positive_is_refused(
+        fuzz_inputs, workdir, capsys, factor, command):
+    """Finite weights whose spectral scale overflows (1e200, 1e160) or
+    vanishes (1e-310, 0) used to give a constant-energy net, warnings and
+    exit 0. The checkpoint is now refused at load, in one line."""
+    ckpt = _scaled_weights(fuzz_inputs["mix"], workdir / "scaled.ckpt",
+                           factor)
+    out = workdir / "scaled-out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command[0], "--checkpoint", str(ckpt), *command[1:],
+                     "--out", str(out)])
+    assert code == 1 and not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error contract: layer 0 has spectral scale \S+; "
+                        r"the scale must be finite and positive\n", err)
+    assert not out.exists()
 
 
 def _set_top(key, value):

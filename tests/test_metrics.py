@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from ebmkit.metrics import (QUADRATURE_CHUNK, QUADRATURE_MAX_CELLS, AISConfig,
                             frechet_gaussian, ks_statistic,
                             log_partition_quadrature, metric_csv_row,
                             mode_coverage, pgd_attack, raise_logZ,
-                            refined_classify)
+                            refined_classify, rng_after_ais)
 from ebmkit.model import EnergyNet, ModelConfig
 from ebmkit.sampler import LangevinConfig, ReplayBuffer
 from ebmkit.trainer import AdamState, TrainConfig, train_step
@@ -305,6 +307,23 @@ def test_estimators_call_energy_and_grad_once_per_transition(temps, transitions)
     raise_logZ(counted, cfg, np.random.default_rng(0),
                np.random.default_rng(1).uniform(size=(8, 2)))
     assert counted.calls == expected
+
+
+@pytest.mark.parametrize("chains,temps,transitions,dim", [
+    (8, 12, 2, 2), (1, 5, 1, 1), (16, 4, 0, 3), (4, 1, 3, 2), (3, 1, 0, 1)])
+def test_rng_after_ais_matches_the_state_ais_leaves(chains, temps,
+                                                    transitions, dim):
+    """rng_after_ais(rng) is where ais_logZ leaves rng, and rng itself
+    does not move."""
+    cfg = AISConfig(chains=chains, temps=temps, transitions=transitions)
+    net = EnergyNet.init(ModelConfig(widths=(dim, 4, 1)),
+                         np.random.default_rng(dim))
+    rng = np.random.default_rng(chains * 100 + temps)
+    before = copy.deepcopy(rng.bit_generator.state)
+    skipped = rng_after_ais(rng, cfg, dim)
+    assert rng.bit_generator.state == before
+    ais_logZ(net, cfg, rng)
+    assert skipped.bit_generator.state == rng.bit_generator.state
 
 
 def test_raise_rejects_empty_samples():
