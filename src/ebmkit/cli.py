@@ -35,12 +35,13 @@ from .datagen import (gaussian_mixture, mini_sprites, ring2d, split_tasks,
                       trajectory_sim)
 from .errors import ConfigError, ContractError, DataError, EbmError, checked
 from .metrics import (AISConfig, ais_logZ, auroc, class_energies,
-                      energy_classify, frechet_gaussian, ks_statistic,
-                      log_partition_quadrature, metric_csv_row,
+                      energy_classify, finite_energy, frechet_gaussian,
+                      ks_statistic, log_partition_quadrature, metric_csv_row,
                       mode_coverage, pgd_attack, raise_logZ,
                       refined_classify, rng_after_ais)
 from .model import EnergyNet, ModelConfig
-from .sampler import LangevinConfig, ReplayBuffer, inpaint, run_chain
+from .sampler import (LangevinConfig, ReplayBuffer, inpaint, rng_after_chains,
+                      run_chain)
 from .trainer import AdamState, TrainConfig, train_step
 
 log = logging.getLogger("ebmkit")
@@ -479,11 +480,12 @@ class _Beside:
     caller sees what the inline call gives: fn's value, fn's error
     re-raised here, and fn's warnings issued here after the block, in
     their order and through this process's filters. The child writes
-    nothing itself. It sends its outcome through a pipe and leaves by
-    os._exit on every path, so it never returns into the caller. The
-    child is always reaped; when the block raises, it is killed first
-    and its outcome is dropped, as an inline fn would not have run. A
-    child that dies without sending its outcome is a ChildProcessError.
+    nothing itself. It sends its outcome through a pipe, pickled (so
+    fn's value and errors must pickle), and leaves by os._exit on every
+    path, so it never returns into the caller. The child is always
+    reaped; when the block raises, it is killed first and its outcome is
+    dropped, as an inline fn would not have run. A child that dies
+    without sending its outcome is a ChildProcessError.
     """
 
     def __init__(self, fn, *args):
@@ -629,7 +631,7 @@ def _marginal_energy(net, x):
     """Scalar score per row; conditional models are scored by the free
     energy -log sum_c exp(-E(x, c))."""
     if net.config.num_classes == 0:
-        return net.energy(x)
+        return finite_energy(net, x)
     e = class_energies(net, x)
     m = e.min(axis=1)
     return m - np.log(np.sum(np.exp(m[:, None] - e), axis=1))
@@ -653,8 +655,8 @@ def _eval_ks(args, bundle, rng):
     x_train, y_train = _split(data, "train")
     x_test, y_test = _split(data, "test")
     conditional = net.config.num_classes > 0
-    e_train = net.energy(x_train, labels=y_train if conditional else None)
-    e_test = net.energy(x_test, labels=y_test if conditional else None)
+    e_train = finite_energy(net, x_train, y_train if conditional else None)
+    e_test = finite_energy(net, x_test, y_test if conditional else None)
     value = ks_statistic(e_train, e_test)
     return [metric_csv_row("ks_overfit", value, n_train=len(e_train),
                            n_test=len(e_test))]
@@ -788,6 +790,17 @@ def cmd_continual(args):
 
 
 def cmd_attack(args):
+    """The accuracy curve under PGD, one row per radius.
+
+    Each nonzero radius is one unit of work: its attack, its accuracy
+    and, with --refine, its refined accuracy, whose chains are the only
+    draws from the --seed generator. The first half of the nonzero radii
+    (the larger half) runs here. When the later half is not empty and at
+    least 2 CPUs are usable, it runs at the same time in a forked second
+    process (_Beside), from the generator state the first half's chains
+    leave (rng_after_chains); otherwise it runs after the first half. The
+    output bytes, the error and the warnings are the same either way.
+    """
     bundle = load_checkpoint(args.checkpoint)
     net = bundle.net
     if net.config.num_classes <= 0:
@@ -801,18 +814,38 @@ def cmd_attack(args):
     rng = np.random.default_rng(args.seed)
     refine_cfg = LangevinConfig(steps=args.refine_steps, clamp=(0.0, 1.0))
     header = "eps,accuracy" + (",accuracy_refined" if args.refine else "")
-    rows = []
     clean = float(np.mean(energy_classify(net, x_test) == y_test))
-    for eps in args.eps:
-        if eps == 0.0:
-            acc, acc_ref = clean, clean
-        else:
+
+    def accuracies(radii, skipped):
+        """(accuracy, refined accuracy or None) at each radius in turn;
+        the chains draw from rng past the draws of `skipped` chains."""
+        part_rng = rng_after_chains(rng, refine_cfg, x_test.shape, skipped)
+        out = []
+        for eps in radii:
             adv = pgd_attack(net, x_test, y_test, eps, steps=args.steps,
                              norm=args.norm)
             acc = float(np.mean(energy_classify(net, adv) == y_test))
+            acc_ref = None
             if args.refine:
-                pred = refined_classify(net, adv, eps, refine_cfg, rng)
+                pred = refined_classify(net, adv, eps, refine_cfg, part_rng)
                 acc_ref = float(np.mean(pred == y_test))
+            out.append((acc, acc_ref))
+        return out
+
+    radii = [eps for eps in args.eps if eps != 0.0]
+    half = (len(radii) + 1) // 2
+    first, later = radii[:half], radii[half:]
+    if later:
+        skipped = net.config.num_classes * half if args.refine else 0
+        with _Beside(accuracies, later, skipped) as beside:
+            results = accuracies(first, 0)
+        results += beside.value
+    else:
+        results = accuracies(first, 0)
+    results = iter(results)
+    rows = []
+    for eps in args.eps:
+        acc, acc_ref = (clean, clean) if eps == 0.0 else next(results)
         row = f"{eps:.10g},{acc:.10g}"
         if args.refine:
             row += f",{acc_ref:.10g}"
@@ -961,9 +994,17 @@ def build_parser():
                             "with bounded-refinement recovery")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--eps", type=_radii, default="0.05,0.1,0.2,0.3",
-                   help="comma-separated radii; 0 rows report clean accuracy")
+                   help="comma-separated radii; 0 rows report clean "
+                        "accuracy. The later half of the nonzero radii runs "
+                        "in a forked second process when at least 2 CPUs "
+                        "are usable, else after the first half; the output "
+                        "bytes are the same")
     p.add_argument("--norm", choices=("linf", "l2"), default="linf")
-    p.add_argument("--refine", action="store_true")
+    p.add_argument("--refine", action="store_true",
+                   help="also report accuracy after bounded Langevin "
+                        "refinement; the second process's chains start "
+                        "where the first half's leave the --seed generator, "
+                        "so the bytes match a one-process run")
     p.add_argument("--refine-steps", type=_STEPS, default=30)
     p.add_argument("--steps", type=_STEPS, default=20, help="PGD iterations")
     p.add_argument("--n", type=_COUNT, default=256)

@@ -41,13 +41,25 @@ class LabelError(EbmError):
 
 
 class ChainDivergedError(EbmError):
-    """A sampling chain produced NaN gradients; carries the offending step."""
+    """A sampling chain produced NaN gradients; carries the offending step.
+    Both are its args, so it pickles (the CLI's second process sends its
+    errors back that way)."""
 
     category = "chain-diverged"
 
     def __init__(self, message, step_index):
-        super().__init__(f"{message} (step {step_index})")
+        super().__init__(message, step_index)
         self.step_index = step_index
+
+    def __str__(self):
+        return f"{self.args[0]} (step {self.step_index})"
+
+
+class NonFiniteEnergyError(EbmError):
+    """An energy or its gradient came out inf or NaN, as the weights of
+    an extreme checkpoint overflow."""
+
+    category = "non-finite-energy"
 
 
 class TrainingDivergedError(EbmError):

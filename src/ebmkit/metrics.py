@@ -20,7 +20,12 @@ running it after AIS.
 The remaining metrics are standard: Mann-Whitney AUROC, the Gaussian
 Frechet distance in Dowson-Landau closed form, a two-sample KS statistic,
 lowest-energy-label classification, PGD attacks on energy logits, and
-sample/mode assignment fractions.
+sample/mode assignment fractions. refined_classify draws from its
+generator only in its chains; sampler.rng_after_chains reaches the state
+they leave without running them, so `ebmkit attack` refines its later
+radii in a forked second process with the same output bytes. The scorers
+refuse energies that are not finite (finite_energy) with one error, not
+numpy's overflow warnings.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateEstimateError,
-                     DimensionError, LabelError, checked)
-from .sampler import run_chain
+                     DimensionError, LabelError, NonFiniteEnergyError,
+                     checked)
+from .sampler import rng_copy, run_chain
 
 __all__ = [
     "AISConfig",
@@ -43,6 +49,7 @@ __all__ = [
     "rng_after_ais",
     "raise_logZ",
     "auroc",
+    "finite_energy",
     "class_energies",
     "frechet_gaussian",
     "ks_statistic",
@@ -232,9 +239,7 @@ def rng_after_ais(rng, cfg, dim):
     raise_logZ on the copy gives the same bits as raise_logZ run on rng
     after ais_logZ, so the two estimators can run at the same time.
     """
-    state = rng.bit_generator.state
-    rng = np.random.Generator(type(rng.bit_generator)())
-    rng.bit_generator.state = state
+    rng = rng_copy(rng)
     rng.uniform(size=(cfg.chains, dim))
     for _ in range(cfg.temps - 1):
         for _ in range(cfg.transitions):
@@ -336,14 +341,31 @@ def ks_statistic(a, b):
 # ---------------------------------------------------------------------------
 # classification, attack, coverage
 
+def _require_finite(what, *arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteEnergyError(f"{what} is not finite: the weights "
+                                   f"or the inputs are too large")
+
+
+def finite_energy(net, x, labels=None):
+    """net.energy(x, labels), refused with a NonFiniteEnergyError when a
+    value is inf or NaN. numpy's overflow warnings stay off on the way,
+    so the refusal is the one report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = net.energy(x, labels=labels)
+    _require_finite("an energy", e)
+    return e
+
+
 def class_energies(net, x):
-    """Energy of each row under each class, shape (batch, num_classes)."""
+    """Energy of each row under each class, shape (batch, num_classes);
+    a value that is not finite is refused (finite_energy)."""
     n_classes = net.config.num_classes
     if n_classes <= 0:
         raise LabelError("per-class energies need a conditional model")
     x = np.asarray(x, dtype=np.float64)
     net = net.frozen()
-    cols = [net.energy(x, labels=np.full(x.shape[0], c, dtype=np.intp))
+    cols = [finite_energy(net, x, np.full(x.shape[0], c, dtype=np.intp))
             for c in range(n_classes)]
     return np.stack(cols, axis=1)
 
@@ -372,7 +394,7 @@ def refined_classify(net, x, eps, cfg, rng):
         labels = np.full(x.shape[0], c, dtype=np.intp)
         refined = run_chain(x, net, replace(cfg, eps_box=eps), rng,
                             labels=labels)
-        scores[:, c] = net.energy(refined, labels=labels)
+        scores[:, c] = finite_energy(net, refined, labels)
     return np.argmin(scores, axis=1)
 
 
@@ -384,6 +406,8 @@ def pgd_attack(net, x, y_true, eps, steps=20, norm="linf"):
     gradient's sign (linf) or direction (l2) and is projected back to the
     eps-ball around the input and to the unit cube. A step that leaves
     the iterate unchanged ends the attack, as every later one would too.
+    An energy or gradient that is not finite is refused, without numpy's
+    overflow warnings.
     """
     eps = checked("eps", eps, float, gt=0)
     steps = checked("steps", steps, int, ge=0)
@@ -399,8 +423,11 @@ def pgd_attack(net, x, y_true, eps, steps=20, norm="linf"):
     net = net.frozen()
     for _ in range(steps):
         # one pass per class gives both E_c and dE_c/dx at adv
-        passes = [net.grad_x(adv, np.full(adv.shape[0], c, dtype=np.intp),
-                             with_energy=True) for c in range(n_classes)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            passes = [net.grad_x(adv, np.full(adv.shape[0], c, dtype=np.intp),
+                                 with_energy=True) for c in range(n_classes)]
+        _require_finite("an energy or its gradient",
+                        *(a for pair in passes for a in pair))
         logits = -np.stack([e for e, _ in passes], axis=1)
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits)

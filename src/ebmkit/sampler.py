@@ -210,6 +210,31 @@ def run_chain(init, net, cfg, rng, labels=None, record=None):
     return x
 
 
+def rng_copy(rng):
+    """A new generator at rng's state. The state is copied through
+    bit_generator.state, so rng itself does not move."""
+    copy = np.random.Generator(type(rng.bit_generator)())
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+def rng_after_chains(rng, cfg, shape, chains):
+    """A copy of rng advanced past the draws of `chains` run_chain calls
+    with cfg on a batch of the given shape: one normal block per step
+    when cfg.noise > 0, whether or not the chain stalls, and none when
+    cfg.noise is 0. rng itself is left as it is.
+
+    Chains run on the copy give the same bits as chains run on rng after
+    those calls, so `ebmkit attack` can refine its later radii in a
+    second process.
+    """
+    rng = rng_copy(rng)
+    if cfg.noise > 0:
+        for _ in range(chains * cfg.steps):
+            rng.normal(size=shape)
+    return rng
+
+
 def inpaint(x_corrupt, mask, net, cfg, rng, labels=None):
     """Restore the masked (unknown) components of x_corrupt by sampling.
 

@@ -36,8 +36,9 @@ from ebmkit.checkpoint import load_checkpoint, save_checkpoint
 from ebmkit.cli import (DATASET_DEFAULTS, DEFAULTS,
                         _keep_large_arrays_on_heap, build_parser, main)
 from ebmkit.errors import DegenerateEstimateError
+from ebmkit.metrics import energy_classify, pgd_attack, refined_classify
 from ebmkit.model import EnergyNet, ModelConfig
-from ebmkit.sampler import ReplayBuffer
+from ebmkit.sampler import LangevinConfig, ReplayBuffer
 
 from helpers import (MALFORMED_MANIFESTS, save_stateful_checkpoint,
                      simpson_log_partition, with_manifest)
@@ -621,6 +622,179 @@ def test_attack_curve_with_refinement(cond_ckpt, workdir):
     assert all(0.0 <= v <= 1.0 for v in attacked[1:])
 
 
+def _attack_argv(ckpt, eps, out, *extra):
+    return ["attack", "--checkpoint", str(ckpt), "--eps", eps, "--n", "128",
+            "--steps", "5", "--refine-steps", "10", "--seed", "3",
+            "--out", str(out), *extra]
+
+
+def _attack_in_one_pass(ckpt, eps, norm, refine):
+    """The CSV _attack_argv asks for, from one loop over the radii on one
+    generator."""
+    bundle = load_checkpoint(ckpt)
+    net = bundle.net
+    x, y = cli._split(cli._dataset_from_manifest(bundle.manifest)[0], "test")
+    x, y = x[:128], y[:128]
+    rng = np.random.default_rng(3)
+    cfg = LangevinConfig(steps=10, clamp=(0.0, 1.0))
+    clean = float(np.mean(energy_classify(net, x) == y))
+    lines = ["eps,accuracy" + ",accuracy_refined" * refine]
+    for radius in map(float, eps.split(",")):
+        acc = acc_ref = clean
+        if radius:
+            adv = pgd_attack(net, x, y, radius, steps=5, norm=norm)
+            acc = float(np.mean(energy_classify(net, adv) == y))
+            if refine:
+                pred = refined_classify(net, adv, radius, cfg, rng)
+                acc_ref = float(np.mean(pred == y))
+        lines.append(f"{radius:.10g},{acc:.10g}"
+                     + f",{acc_ref:.10g}" * refine)
+    return "\n".join(lines) + "\n"
+
+
+# 0 to 4 nonzero radii, a 0 row among them
+ATTACK_RADII = ["0", "0.1", "0,0.1,0.2", "0.3,0,0.05,0.2",
+                "0.05,0.1,0.2,0.3"]
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+def test_attack_bytes_do_not_depend_on_the_second_process(
+        cond_ckpt, workdir, monkeypatch, capfd, norm, refine):
+    """With 2 usable CPUs the later half of the nonzero radii runs in a
+    forked child, which needs 2 of them; with 1 CPU it runs after the
+    first half. Both files are the one a single loop over the radii on
+    one generator writes, the child prints nothing, and no child is left
+    once main returns."""
+    extra = ("--norm", norm) + (("--refine",) if refine else ())
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for i, eps in enumerate(ATTACK_RADII):
+        nonzero = sum(float(r) != 0.0 for r in eps.split(","))
+        outs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: cpus)
+            outs.append(workdir / f"attack-cpus{cpus}-{norm}-{refine}-{i}.csv")
+            del forks[:]
+            assert main(_attack_argv(cond_ckpt, eps, outs[-1], *extra)) == 0
+            assert len(forks) == (cpus == 2 and nonzero >= 2)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert outs[0].read_bytes() == outs[1].read_bytes(), eps
+        assert outs[0].read_text() == _attack_in_one_pass(cond_ckpt, eps,
+                                                          norm, refine)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_failed_fork_runs_the_later_radii_inline(cond_ckpt, workdir,
+                                                 monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    outs = [workdir / "attack-forked.csv", workdir / "attack-no-fork.csv"]
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: 2)
+    for out in outs:
+        assert main(_attack_argv(cond_ckpt, "0.05,0.1,0.2,0.3", out,
+                                 "--refine")) == 0
+        monkeypatch.setattr(os, "fork", no_fork)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _fails_at(eps, action):
+    """cli.pgd_attack, with action in its place at radius eps."""
+    real = cli.pgd_attack
+
+    def attack(net, x, y, radius, **kwargs):
+        if radius == eps:
+            return action()
+        return real(net, x, y, radius, **kwargs)
+
+    return attack
+
+
+def test_attack_second_process_that_dies_is_one_error_line(
+        cond_ckpt, workdir, monkeypatch, capsys):
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: 2)
+    monkeypatch.setattr("ebmkit.cli.pgd_attack",
+                        _fails_at(0.2, lambda: os._exit(3)))
+    out = workdir / "attack-child-dies.csv"
+    assert main(_attack_argv(cond_ckpt, "0.1,0.2", out)) == 1
+    assert capsys.readouterr().err == (
+        "error io: the second process ended without a result "
+        "(wait status 768)\n")
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.2], ids=["first", "later"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_chain_divergence_keeps_the_contract_in_either_process(
+        cond_ckpt, workdir, monkeypatch, capsys, cpus, eps):
+    """A chain that diverges at the first radius (this process) or at the
+    later one (the child, at 2 CPUs) ends in the same one line."""
+    real = cli.refined_classify
+
+    class NanGradient:
+        """A net whose gradient is not finite, as an overflowing one's."""
+
+        def __init__(self, net):
+            self.config = net.config
+
+        def frozen(self):
+            return self
+
+        def grad_x(self, x, labels=None):
+            return np.full(np.shape(x), np.nan)
+
+    def refine(net, x, radius, cfg, rng):
+        if radius == eps:
+            net = NanGradient(net)
+        return real(net, x, radius, cfg, rng)
+
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: cpus)
+    monkeypatch.setattr("ebmkit.cli.refined_classify", refine)
+    out = workdir / f"attack-diverges-{cpus}-{eps}.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_attack_argv(cond_ckpt, "0.1,0.2", out, "--refine"))
+    assert code == 1 and not caught
+    assert capsys.readouterr().err == (
+        "error chain-diverged: energy gradient is not finite (step 0)\n")
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_attack_error_reaps_the_second_process(cond_ckpt, workdir,
+                                               monkeypatch, capsys, cpus):
+    """An error at a first-half radius is the one reported, as the later
+    radii would not have run."""
+    def fails():
+        raise DegenerateEstimateError("attack failed")
+
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: cpus)
+    monkeypatch.setattr("ebmkit.cli.pgd_attack",
+                        _fails_at(0.2, lambda: time.sleep(30)))
+    monkeypatch.setattr("ebmkit.cli.pgd_attack", _fails_at(0.1, fails))
+    out = workdir / f"attack-fails-{cpus}.csv"
+    start = time.perf_counter()
+    assert main(_attack_argv(cond_ckpt, "0.1,0.2", out)) == 1
+    assert time.perf_counter() - start < 20
+    assert capsys.readouterr().err == (
+        "error degenerate-estimate: attack failed\n")
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # ---------------------------------------------------------------------------
 # config and error reporting
 
@@ -711,6 +885,58 @@ def test_spectral_scale_that_is_not_finite_and_positive_is_refused(
     err = capsys.readouterr().err
     assert re.fullmatch(r"error contract: layer 0 has spectral scale \S+; "
                         r"the scale must be finite and positive\n", err)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def overflowing_ckpts(workdir):
+    """2-8-8-1 checkpoints without spectral normalisation, 4-class and
+    unconditional, with every weight times 1e160: finite, but each
+    energy overflows."""
+    text = ("model:\n  widths: [2, 8, 8, 1]\n  num_classes: {k}\n"
+            "  spectral_norm: false\n"
+            "train:\n  total_steps: 3\n  batch_size: 8\n"
+            "langevin:\n  steps: 2\n"
+            "dataset:\n  kind: mixture\n  n: 64\n  n_test: 32\n"
+            "  centers: [[0.25, 0.25], [0.75, 0.75], [0.25, 0.75], "
+            "[0.75, 0.25]]\n")
+    points = workdir / "overflow-points.csv"
+    points.write_text("0.2,0.3\n0.5,0.5\n")
+    ckpts = {"points": points}
+    for name, k in (("cond", 4), ("plain", 0)):
+        ckpts[name] = _scaled_weights(
+            _train(workdir, f"overflow-{name}", text.format(k=k), seed=1),
+            workdir / f"overflow-{name}-1e160.ckpt", 1e160)
+    return ckpts
+
+
+_KS = ["eval", "--metric", "ks-overfit"]
+_AUROC = ["eval", "--metric", "ood-auroc", "--inliers", "{points}",
+          "--outliers", "{points}"]
+_ATTACK = ["attack", "--eps", "0,0.1,0.2", "--n", "8", "--steps", "2"]
+OVERFLOW_CASES = {
+    "attack": ("cond", _ATTACK),
+    "attack-refine": ("cond", _ATTACK + ["--refine", "--refine-steps", "2"]),
+    "ks-cond": ("cond", _KS), "ks-plain": ("plain", _KS),
+    "auroc-cond": ("cond", _AUROC), "auroc-plain": ("plain", _AUROC)}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_energies_that_overflow_are_one_error_line(
+        overflowing_ckpts, workdir, capsys, case):
+    """Finite weights whose energies overflow used to give warnings and
+    exit 0 with outputs computed from NaN; they now end in one line."""
+    ckpt, command = OVERFLOW_CASES[case]
+    argv = [a.format(**overflowing_ckpts) for a in command]
+    out = workdir / "overflow-out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], "--checkpoint", str(overflowing_ckpts[ckpt]),
+                     *argv[1:], "--out", str(out)])
+    assert code == 1 and not caught, [str(w.message) for w in caught]
+    assert capsys.readouterr().err == (
+        "error non-finite-energy: an energy is not finite: the weights or "
+        "the inputs are too large\n")
     assert not out.exists()
 
 

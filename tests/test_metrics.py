@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebmkit.errors import (ConfigError, DataError, DegenerateEstimateError,
-                           DimensionError, LabelError)
+                           DimensionError, LabelError, NonFiniteEnergyError)
 from ebmkit.metrics import (QUADRATURE_CHUNK, QUADRATURE_MAX_CELLS, AISConfig,
-                            ais_logZ, auroc, energy_classify,
-                            frechet_gaussian, ks_statistic,
+                            ais_logZ, auroc, class_energies, energy_classify,
+                            finite_energy, frechet_gaussian, ks_statistic,
                             log_partition_quadrature, metric_csv_row,
                             mode_coverage, pgd_attack, raise_logZ,
                             refined_classify, rng_after_ais)
 from ebmkit.model import EnergyNet, ModelConfig
-from ebmkit.sampler import LangevinConfig, ReplayBuffer
+from ebmkit.sampler import LangevinConfig, ReplayBuffer, rng_after_chains
 from ebmkit.trainer import AdamState, TrainConfig, train_step
 
 from helpers import (CallCounter, QuadraticEnergy, energy_config, ks_oracle,
@@ -612,6 +613,42 @@ def test_pgd_validates_arguments():
         pgd_attack(plain, np.zeros((1, 2)), np.array([0]), eps=0.1, steps=0)
 
 
+def _overflowing_net(num_classes, factor=1e160):
+    """A net without spectral normalisation whose weights are finite but
+    so large that its energies overflow."""
+    net = EnergyNet.init(ModelConfig(widths=(2, 8, 8, 1),
+                                     num_classes=num_classes,
+                                     spectral_norm=False),
+                         np.random.default_rng(90))
+    for layer in net.layers:
+        layer.w = layer.w * factor
+    return net
+
+
+def test_energies_that_are_not_finite_are_refused_without_warnings():
+    """Scorers refuse an overflowing net's energies with one error and
+    keep numpy's overflow warnings to themselves."""
+    x = np.random.default_rng(91).uniform(size=(8, 2))
+    y = np.arange(8) % 4
+    cond = _overflowing_net(4)
+    calls = [lambda: finite_energy(_overflowing_net(0), x),
+             lambda: class_energies(cond, x),
+             lambda: energy_classify(cond, x),
+             lambda: pgd_attack(cond, x, y, eps=0.1, steps=2),
+             lambda: pgd_attack(cond, x, y, eps=0.1, steps=2, norm="l2")]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEnergyError, match="not finite"):
+                call()
+
+
+def test_finite_energies_pass_unchanged():
+    net = _overflowing_net(0, factor=1.0)
+    x = np.random.default_rng(92).uniform(size=(8, 2))
+    assert finite_energy(net, x).tobytes() == net.energy(x).tobytes()
+
+
 def _film_net(num_classes, seed):
     """Spectral conditional net with random class gains and biases."""
     rng = np.random.default_rng(seed)
@@ -685,6 +722,27 @@ def test_refined_classify_keeps_easy_points():
     cfg = LangevinConfig(steps=20, clamp=(0.0, 1.0))
     got = refined_classify(net, x, 0.05, cfg, np.random.default_rng(1))
     assert np.array_equal(got, [0, 1, 0])
+
+
+@pytest.mark.parametrize("num_classes", [1, 2, 3, 4])
+@pytest.mark.parametrize("steps,noise", [(3, 0.005), (3, 0.0), (0, 0.005)])
+def test_rng_after_chains_matches_the_state_refinement_leaves(
+        num_classes, steps, noise):
+    """rng_after_chains(rng) for one chain per class is where
+    refined_classify leaves rng, and rng itself does not move: a noisy
+    chain draws once per step, stalled or not, and a noiseless one never
+    draws."""
+    cfg = LangevinConfig(steps=steps, noise=noise, clamp=(0.0, 1.0))
+    net = _film_net(num_classes, seed=80 + num_classes)
+    data = np.random.default_rng(81)
+    x = data.uniform(size=(9, 2))
+    rng = np.random.default_rng(82 + steps)
+    before = copy.deepcopy(rng.bit_generator.state)
+    skipped = rng_after_chains(rng, cfg, x.shape, num_classes)
+    assert rng.bit_generator.state == before
+    refined_classify(net, x, 0.05, cfg, rng)
+    assert skipped.bit_generator.state == rng.bit_generator.state
+    assert (rng.bit_generator.state == before) == (steps * noise == 0)
 
 
 def test_refined_classify_requires_conditional_model():

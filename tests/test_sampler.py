@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -98,6 +99,9 @@ class TestLangevinStep:
                           np.random.default_rng(0), step_index=7)
         assert info.value.step_index == 7
         assert "step 7" in str(info.value)
+        # the CLI's second process sends its error back pickled
+        back = pickle.loads(pickle.dumps(info.value))
+        assert (str(back), back.step_index) == (str(info.value), 7)
 
     def test_fixed_seed_is_bit_deterministic(self):
         net = QuadraticEnergy(dim=2)
