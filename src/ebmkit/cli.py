@@ -2,16 +2,18 @@
 
 One executable with subcommands: train, sample, inpaint, compose, eval,
 continual, and attack. Configuration comes from a YAML file with nested
-sections (model, train, langevin, dataset, continual, finetune); every
-key has a documented default below and unknown keys are rejected. All
-randomness derives from --seed, so identical invocations produce
-identical output bytes. Outputs are CSV reports, sample matrices
-(one row per sample, %.17g), or PGM image grids, written atomically.
-Every error, a bad or missing flag included, exits 1 with a single line
-"error <category>: <message>" on stderr. Each numeric flag and config
-value is checked against the one domain of the field it feeds, as it is
-parsed or when its config is built. Set EBMKIT_LOG=INFO or DEBUG for
-progress logging.
+sections (model, train, langevin, dataset, continual, finetune). Every
+key has a default, in model, train and langevin that of ModelConfig,
+TrainConfig or ReplayBuffer, and unknown keys are rejected. A command
+that samples one checkpoint runs the chain stored in it, with any chain
+flag given laid over it. All randomness derives from --seed, so
+identical invocations produce identical output bytes. Outputs are CSV
+reports, sample matrices (one row per sample, %.17g), or PGM image
+grids, written atomically. Every error, a bad or missing flag included,
+exits 1 with a single line "error <category>: <message>" on stderr.
+Each numeric flag and config value is checked against the one domain
+of the field it feeds, as it is parsed or when its config is built. Set
+EBMKIT_LOG=INFO or DEBUG for progress logging.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import os
 import pickle
 import sys
 import warnings
+from argparse import SUPPRESS
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import yaml
@@ -40,41 +44,27 @@ from .metrics import (AISConfig, ais_logZ, auroc, class_energies,
                       mode_coverage, pgd_attack, raise_logZ,
                       refined_classify, rng_after_ais)
 from .model import EnergyNet, ModelConfig
-from .sampler import (LangevinConfig, ReplayBuffer, inpaint, rng_after_chains,
-                      run_chain)
+from .sampler import ReplayBuffer, inpaint, rng_after_chains, run_chain
 from .trainer import AdamState, TrainConfig, train_step
 
 log = logging.getLogger("ebmkit")
 
+
+def _section(config, drop=()):
+    """A config section: the fields of a config instance, less drop."""
+    return {f.name: getattr(config, f.name) for f in fields(config)
+            if f.name not in drop}
+
+
 # Defaults for every config section. File values overlay these; a key
-# absent here is rejected as unknown.
+# absent here is rejected as unknown. ReplayBuffer shares train.
+_BUFFER = ReplayBuffer()
 DEFAULTS = {
-    "model": {
-        "widths": [2, 64, 64, 1],   # input, hidden..., scalar energy head
-        "activation": "swish",
-        "num_classes": 0,           # 0 = unconditional
-        "spectral_norm": True,
-        "power_iters": 1,
-    },
-    "train": {
-        "alpha": 1.0,               # L2 energy penalty weight
-        "lr": 1e-4,
-        "beta1": 0.0,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "batch_size": 128,
-        "clip_sigmas": 3.0,
-        "total_steps": 2000,
-        "buffer_capacity": 10000,
-        "uniform_prob": 0.05,       # fresh-noise rate for chain inits
-    },
-    "langevin": {
-        "steps": 60,
-        "step_size": 10.0,
-        "noise": 0.005,
-        "grad_clip": 0.01,
-        "clamp": [0.0, 1.0],        # null disables the cube projection
-    },
+    "model": _section(ModelConfig()),
+    "train": {**_section(TrainConfig(), drop=("langevin",)),
+              "buffer_capacity": _BUFFER.capacity,
+              "uniform_prob": _BUFFER.uniform_prob},
+    "langevin": _section(TrainConfig().langevin, drop=("mask", "eps_box")),
     "continual": {
         # ten well-separated clusters on a 5 x 2 grid
         "centers": [[x, y] for y in (0.3, 0.7)
@@ -90,12 +80,10 @@ DEFAULTS = {
         "lr": 3e-4,
         "batch_size": 32,
         "combos": [],               # per-model label tuples; required
-        "chain": {
-            "steps": 8,
-            "step_size": 5.0,
-            "noise": 0.005,
-            "grad_clip": 0.01,
-        },
+        # the training chain, shorter, with smaller steps, on the cube
+        "chain": {**_section(TrainConfig().langevin,
+                             drop=("mask", "eps_box", "clamp")),
+                  "steps": 8, "step_size": 5.0},
     },
 }
 
@@ -203,8 +191,8 @@ def _training(cfg):
     buffers, whose two keys share the train section."""
     sec = dict(cfg["train"])
     buffer_args = (sec.pop("buffer_capacity"), sec.pop("uniform_prob"))
-    return (TrainConfig(**sec, langevin=LangevinConfig(**cfg["langevin"])),
-            buffer_args)
+    chain = replace(TrainConfig().langevin, **cfg["langevin"])
+    return TrainConfig(**sec, langevin=chain), buffer_args
 
 
 def _rngs(seed):
@@ -242,12 +230,10 @@ def _build_dataset(spec, rng):
                 "a non-empty list of shape names", lambda s: isinstance(s, str))
         for key in ("xs", "ys", "scales"):
             _listed(f"dataset.{key}", spec[key])
-        kwargs = dict(shapes=spec["shapes"], xs=spec["xs"],
-                      ys=spec["ys"], scales=spec["scales"],
-                      n_per_combo=spec["n_per_combo"], noise=spec["noise"],
-                      rng=rng)
-        imgs, latents = mini_sprites(**kwargs)
-        imgs2, latents2 = mini_sprites(**kwargs)
+        kwargs = {k: spec[k] for k in ("shapes", "xs", "ys", "scales",
+                                       "n_per_combo", "noise")}
+        imgs, latents = mini_sprites(**kwargs, rng=rng)
+        imgs2, latents2 = mini_sprites(**kwargs, rng=rng)
         label_by = spec["label_by"]
         y = y2 = None
         if label_by is not None:
@@ -257,10 +243,8 @@ def _build_dataset(spec, rng):
         flat2 = imgs2.reshape(imgs2.shape[0], -1)
         return {"train": (flat, y), "test": (flat2, y2)}
     if kind == "trajectories":
-        train, test = trajectory_sim(spec["n_trajectories"],
-                                     length=spec["length"],
-                                     kick_period=spec["kick_period"],
-                                     rng=rng, kick_size=spec["kick_size"])
+        train, test = trajectory_sim(
+            **{k: spec[k] for k in DATASET_DEFAULTS[kind]}, rng=rng)
 
         def flatten(t):
             return np.concatenate([t.state, t.action, t.next_state], axis=1)
@@ -297,6 +281,23 @@ def _dataset_from_manifest(manifest):
         return _build_dataset(spec, data_rng), spec
     except EbmError as exc:
         raise ContractError(f"malformed checkpoint manifest: {exc}") from None
+
+
+def _stored_chain(manifest):
+    """The checkpoint's training chain: its manifest's train.langevin laid
+    over TrainConfig's default chain. It has no mask and no eps_box."""
+    train = manifest.get("train") or {}
+    try:
+        if not isinstance(train, dict):
+            raise ConfigError(f"train must be a mapping, got {train!r}")
+        chain = replace(TrainConfig().langevin,
+                        **(train.get("langevin") or {}))
+        if chain.mask is not None or chain.eps_box is not None:
+            raise ConfigError("a training chain has no mask or eps_box")
+        return chain
+    except (EbmError, TypeError, ValueError) as exc:
+        raise ContractError(
+            f"malformed checkpoint manifest: train.langevin: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -386,46 +387,41 @@ def cmd_train(args):
     return 0
 
 
-def _flag_langevin(args):
-    clamp = None if args.no_clamp else (0.0, 1.0)
-    return LangevinConfig(steps=args.steps, step_size=args.step_size,
-                          noise=args.noise, grad_clip=args.grad_clip,
-                          clamp=clamp)
+def _given(args, config):
+    """config with the given flags laid over it, each named after a field of
+    config (their parser's argument_default=SUPPRESS leaves the rest unset)."""
+    given = {f.name for f in fields(config)} & set(vars(args))
+    return replace(config, **{name: getattr(args, name) for name in given})
 
 
 def cmd_sample(args):
     bundle = load_checkpoint(args.checkpoint)
-    net = bundle.net
-    d = net.config.input_dim
     rng = np.random.default_rng(args.seed)
     if args.init_file:
         init = _read_matrix(args.init_file)
     else:
-        init = rng.uniform(size=(args.n, d))
-    labels = None
-    if args.label is not None:
-        labels = np.full(init.shape[0], args.label, dtype=np.intp)
-    cfg = _flag_langevin(args)
-    x = run_chain(init, net, cfg, rng, labels=labels)
+        init = rng.uniform(size=(args.n, bundle.net.config.input_dim))
+    labels = (None if args.label is None
+              else np.full(init.shape[0], args.label, dtype=np.intp))
+    cfg = _given(args, _stored_chain(bundle.manifest))
+    x = run_chain(init, bundle.net, cfg, rng, labels=labels)
     _write_samples(args.out, x, args.format)
     return 0
 
 
 def cmd_inpaint(args):
     bundle = load_checkpoint(args.checkpoint)
-    net = bundle.net
     x = _read_matrix(args.input)
     mask_rows = np.atleast_2d(_read_matrix(args.mask))
     if mask_rows.shape[0] > 1 and np.ptp(mask_rows, axis=0).any():
         raise ContractError("per-row masks are not supported; "
                             "provide one mask row for the whole batch")
     mask = mask_rows[0] != 0.0
-    labels = None
-    if args.label is not None:
-        labels = np.full(x.shape[0], args.label, dtype=np.intp)
-    cfg = _flag_langevin(args)
+    labels = (None if args.label is None
+              else np.full(x.shape[0], args.label, dtype=np.intp))
+    cfg = _given(args, _stored_chain(bundle.manifest))
     rng = np.random.default_rng(args.seed)
-    restored = inpaint(x, mask, net, cfg, rng, labels=labels)
+    restored = inpaint(x, mask, bundle.net, cfg, rng, labels=labels)
     _write_samples(args.out, restored, args.format)
     return 0
 
@@ -453,12 +449,12 @@ def cmd_compose(args):
             "finetune.combos", cfg["combos"],
             "a non-empty list of label lists", lambda c: isinstance(c, list))]
         tcfg = TrainConfig(lr=cfg["lr"], batch_size=cfg["batch_size"],
-                           langevin=LangevinConfig(**cfg["chain"],
-                                                   clamp=(0.0, 1.0)))
+                           langevin=replace(TrainConfig().langevin,
+                                            **cfg["chain"]))
         nets = finetune_combination(nets, combos, tcfg, rng,
                                     epochs=cfg["epochs"])
-    samples = joint_sample(list(zip(nets, labels)), _flag_langevin(args),
-                           rng, n=args.n)
+    chain = _given(args, replace(TrainConfig().langevin, steps=COMPOSE_STEPS))
+    samples = joint_sample(list(zip(nets, labels)), chain, rng, n=args.n)
     _write_samples(args.out, samples, args.format)
     return 0
 
@@ -595,8 +591,7 @@ def _eval_logz(args, bundle, rng):
     net = bundle.net
     if net.config.num_classes > 0:
         raise ConfigError("logz-bracket needs an unconditional model")
-    cfg = AISConfig(chains=args.chains, temps=args.temps,
-                    transitions=args.transitions, step_size=args.mala_step)
+    cfg = _given(args, AISConfig())
     # the quadrature goes first, so a grid past its cell cap fails before
     # the estimators run; it draws nothing from rng
     quadrature = []
@@ -617,9 +612,7 @@ def _eval_logz(args, bundle, rng):
         raise ConfigError("the reverse estimator needs model samples: "
                           "pass --data-file or use a checkpoint with a "
                           "replay buffer")
-    setup = {"chains": cfg.chains, "temps": cfg.temps,
-             "transitions": cfg.transitions, "step_size": cfg.step_size,
-             "seed": args.seed}
+    setup = {**asdict(cfg), "seed": args.seed}
     with _Beside(raise_logZ, net, cfg, rng_after_ais(rng, cfg, d),
                  exact) as upper:
         lower = ais_logZ(net, cfg, rng)[0]
@@ -706,7 +699,7 @@ def _eval_frechet(args, bundle, rng):
         raise ConfigError(
             "frechet-rollout needs a trajectory-trained checkpoint")
     _split(data, "test")
-    cfg = LangevinConfig(steps=args.steps, clamp=(0.0, 1.0))
+    cfg = replace(_stored_chain(bundle.manifest), steps=args.steps)
     dists = _ebm_rollout(net, data["test_set"], int(spec["length"]),
                          args.horizon, cfg, rng)
     setup = {"horizon": len(dists), "steps": args.steps, "seed": args.seed}
@@ -812,7 +805,7 @@ def cmd_attack(args):
     n = min(args.n, x_test.shape[0])
     x_test, y_test = x_test[:n], y_test[:n]
     rng = np.random.default_rng(args.seed)
-    refine_cfg = LangevinConfig(steps=args.refine_steps, clamp=(0.0, 1.0))
+    refine_cfg = replace(_stored_chain(bundle.manifest), steps=args.refine_steps)
     header = "eps,accuracy" + (",accuracy_refined" if args.refine else "")
     clean = float(np.mean(energy_classify(net, x_test) == y_test))
 
@@ -895,16 +888,20 @@ def _radii(text):
     return radii
 
 
-def _add_sampling_flags(p, default_steps=60):
-    p.add_argument("--steps", type=_STEPS, default=default_steps)
-    p.add_argument("--step-size", type=_flag("step_size", float, gt=0),
-                   default=10.0)
-    p.add_argument("--noise", type=_flag("noise", float, ge=0), default=0.005)
-    p.add_argument("--grad-clip", type=_flag("grad_clip", float, gt=0),
-                   default=0.01)
-    p.add_argument("--no-clamp", action="store_true",
-                   help="disable the unit-cube projection")
+def _add_sampling_flags(p):
+    """The chain flags, each named after a LangevinConfig field (_given)."""
+    p.add_argument("--steps", type=_STEPS)
+    p.add_argument("--step-size", type=_flag("step_size", float, gt=0))
+    p.add_argument("--noise", type=_flag("noise", float, ge=0))
+    p.add_argument("--grad-clip", type=_flag("grad_clip", float, gt=0))
+    p.add_argument("--no-clamp", dest="clamp", action="store_const",
+                   const=None, help="disable the unit-cube projection")
     p.add_argument("--format", choices=("csv", "pgm"), default="csv")
+
+
+COMPOSE_STEPS = 150
+_STORED_CHAIN = ("Chain flags not given keep the values of the checkpoint's "
+                 "training chain (train.langevin, else the default one).")
 
 
 def build_parser():
@@ -915,59 +912,55 @@ def build_parser():
 
     p = sub.add_parser("train", help="contrastively train an energy model")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--metrics-out", default=None,
                    help="per-step CSV (default: <out>.metrics.csv)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sample", help="draw samples from a checkpoint")
+    p = sub.add_parser("sample", help="draw samples from a checkpoint",
+                       description=_STORED_CHAIN, argument_default=SUPPRESS)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=_COUNT, default=64)
-    p.add_argument("--out", required=True)
     p.add_argument("--label", type=_LABEL, default=None)
     p.add_argument("--init-file", default=None)
-    p.add_argument("--seed", type=_SEED, default=0)
     _add_sampling_flags(p)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("inpaint", help="restore masked components")
+    p = sub.add_parser("inpaint", help="restore masked components",
+                       description=_STORED_CHAIN, argument_default=SUPPRESS)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--mask", required=True,
                    help="CSV row; nonzero marks components to resample")
-    p.add_argument("--out", required=True)
     p.add_argument("--label", type=_LABEL, default=None)
-    p.add_argument("--seed", type=_SEED, default=0)
     _add_sampling_flags(p)
     p.set_defaults(func=cmd_inpaint)
 
-    p = sub.add_parser("compose",
-                       help="sample a product of several checkpoints")
+    p = sub.add_parser(
+        "compose", help="sample a product of several checkpoints",
+        argument_default=SUPPRESS, description=f"Chain flags not given keep "
+        f"the default training chain's values, with {COMPOSE_STEPS} steps, as "
+        f"the checkpoints' own chains can disagree.")
     p.add_argument("--checkpoints", nargs="+", required=True)
     p.add_argument("--labels", nargs="+", required=True,
                    help="one per checkpoint; 'none' for unconditional")
     p.add_argument("--finetune-config", default=None)
     p.add_argument("--n", type=_COUNT, default=64)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, default=0)
-    _add_sampling_flags(p, default_steps=150)
+    _add_sampling_flags(p)
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("eval", help="compute one evaluation metric")
+    p = sub.add_parser("eval", help="compute one evaluation metric",
+                       argument_default=SUPPRESS, description=f"AIS and RAISE "
+                       f"flags not given keep the values of {AISConfig()}.")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--metric", choices=sorted(_EVALUATORS), required=True,
                    help="logz-bracket runs RAISE in a forked second process "
                         "beside AIS when at least 2 CPUs are usable, else "
                         "after it; the output bytes are the same")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--chains", type=_flag("chains", int, ge=1), default=64)
-    p.add_argument("--temps", type=_flag("temps", int, ge=1), default=100)
-    p.add_argument("--transitions", type=_flag("transitions", int, ge=0),
-                   default=2)
-    p.add_argument("--mala-step", type=_flag("step_size", float, gt=0),
-                   default=0.01)
+    p.add_argument("--chains", type=_flag("chains", int, ge=1))
+    p.add_argument("--temps", type=_flag("temps", int, ge=1))
+    p.add_argument("--transitions", type=_flag("transitions", int, ge=0))
+    p.add_argument("--mala-step", dest="step_size", metavar="MALA_STEP",
+                   type=_flag("step_size", float, gt=0))
     p.add_argument("--quad-resolution",
                    type=_flag("quad_resolution", float, gt=0), default=None)
     p.add_argument("--data-file", default=None,
@@ -977,7 +970,8 @@ def build_parser():
     p.add_argument("--radius", type=_flag("radius", float, gt=0), default=0.1)
     p.add_argument("--horizon", type=_flag("horizon", int, ge=1), default=50)
     p.add_argument("--steps", type=_STEPS, default=40,
-                   help="chain length for rollout transitions")
+                   help="rollout chain length; the rest of the chain is the "
+                        "one stored in the checkpoint")
     p.add_argument("--n", type=_COUNT, default=1024,
                    help="buffer tail size for mode-coverage")
     p.set_defaults(func=cmd_eval)
@@ -985,8 +979,6 @@ def build_parser():
     p = sub.add_parser("continual",
                        help="train sequentially over disjoint class pairs")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_continual)
 
     p = sub.add_parser("attack",
@@ -1005,13 +997,17 @@ def build_parser():
                         "refinement; the second process's chains start "
                         "where the first half's leave the --seed generator, "
                         "so the bytes match a one-process run")
-    p.add_argument("--refine-steps", type=_STEPS, default=30)
+    p.add_argument("--refine-steps", type=_STEPS, default=30,
+                   help="refinement chain length; the rest of the chain is "
+                        "the one stored in the checkpoint")
     p.add_argument("--steps", type=_STEPS, default=20, help="PGD iterations")
     p.add_argument("--n", type=_COUNT, default=256)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_attack)
 
+    # every command writes one output and draws from one seed
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=_SEED, default=0)
     return parser
 
 

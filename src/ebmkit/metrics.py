@@ -132,10 +132,10 @@ class AISConfig:
     densely spaced where the integrand changes fastest.
     """
 
-    chains: int = 256
+    chains: int = 64
     temps: int = 100
     transitions: int = 2
-    step_size: float = 0.05
+    step_size: float = 0.01
 
     def __post_init__(self):
         self.chains = checked("chains", self.chains, int, ge=1)

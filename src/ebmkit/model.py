@@ -90,7 +90,7 @@ class ModelConfig:
     width of 1 (the scalar energy head).
     """
 
-    widths: tuple
+    widths: tuple = (2, 64, 64, 1)
     activation: str = "swish"
     num_classes: int = 0
     spectral_norm: bool = True

@@ -9,8 +9,8 @@ Step size and noise scale are configured independently. The classical
 coupling, noise = sqrt(2 * step_size), targets exp(-E). Decoupled, with
 no gradient clipped, a step is the classical one for E / T with step
 size noise**2 / 2, so the chain targets about exp(-E / T) at temperature
-T = noise**2 / (2 * step_size): 1.25e-6 at the defaults (noise 0.005,
-step_size 10), far colder than exp(-E). The logZ estimators in metrics
+T = noise**2 / (2 * step_size): 1.25e-6 at LangevinConfig's defaults,
+far colder than exp(-E). The logZ estimators in metrics
 (AIS, RAISE and the quadrature of eval --metric logz-bracket) use T = 1,
 so they bracket the normalizer of exp(-E), not of the density these
 chains draw from.
@@ -194,11 +194,13 @@ def langevin_step(x, net, cfg, rng, labels=None, center=None, step_index=0,
     return new, g
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_chain(init, net, cfg, rng, labels=None, record=None):
     """Apply cfg.steps Langevin steps from init; returns the final state.
     The steps run on net.frozen(), as no weight changes within a chain,
     and a step that left the state unchanged hands its gradient to the
-    next. record, when given, gets one langevin_step entry per step."""
+    next. record, when given, gets one langevin_step entry per step.
+    An overflow does not warn: langevin_step raises ChainDivergedError."""
     net = net.frozen()
     x = np.array(init, dtype=np.float64, copy=True)
     center = x.copy() if cfg.eps_box is not None else None

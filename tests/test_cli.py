@@ -38,7 +38,8 @@ from ebmkit.cli import (DATASET_DEFAULTS, DEFAULTS,
 from ebmkit.errors import DegenerateEstimateError
 from ebmkit.metrics import energy_classify, pgd_attack, refined_classify
 from ebmkit.model import EnergyNet, ModelConfig
-from ebmkit.sampler import LangevinConfig, ReplayBuffer
+from ebmkit.sampler import LangevinConfig, ReplayBuffer, run_chain
+from ebmkit.trainer import TrainConfig
 
 from helpers import (MALFORMED_MANIFESTS, save_stateful_checkpoint,
                      simpson_log_partition, with_manifest)
@@ -838,6 +839,131 @@ def test_malformed_manifest_reports_contract_error(workdir, capsys, case):
     assert err.startswith("error contract:") and err.count("\n") == 1
 
 
+def _stored(key, value):
+    def edit(m):
+        m["train"]["langevin"][key] = value
+        return m
+    return edit
+
+
+def _train_as_list(m):
+    m["train"] = [m["train"]]
+    return m
+
+
+# Edits of a trained checkpoint's stored chain, train.langevin, which is
+# outside input like the rest of the manifest.
+MALFORMED_CHAINS = {
+    "fractional-steps": _stored("steps", 2.5),
+    "string-noise": _stored("noise", "abc"),
+    "zero-grad-clip": _stored("grad_clip", 0),
+    "reversed-clamp": _stored("clamp", [1, 0]),
+    "unknown-key": _stored("temperature", 1.0),
+    "mask": _stored("mask", [True]),
+    "train-list": _train_as_list,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHAINS))
+def test_malformed_stored_chain_reports_contract_error(fuzz_inputs, workdir,
+                                                       capsys, case):
+    bad = workdir / f"chain-{case}.ebm"
+    bad.write_bytes(with_manifest(Path(fuzz_inputs["mix"]).read_bytes(),
+                                  MALFORMED_CHAINS[case]))
+    out = workdir / "chain-out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sample", "--checkpoint", str(bad), "--n", "2",
+                     "--out", str(out)])
+    assert code == 1 and not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith("error contract: malformed checkpoint manifest: "
+                          "train.langevin: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# A chain that differs from the default in every value, and the flags
+# that give the same chain.
+OWN_CHAIN_YAML = textwrap.dedent("""\
+    model:
+      widths: [2, 8, 1]
+    train:
+      total_steps: 3
+      batch_size: 8
+    langevin:
+      steps: 3
+      step_size: 2.0
+      noise: 0.05
+      grad_clip: 0.02
+      clamp: null
+    dataset:
+      kind: mixture
+      n: 32
+      n_test: 8
+    """)
+OWN_CHAIN_FLAGS = ["--steps", "3", "--step-size", "2", "--noise", "0.05",
+                   "--grad-clip", "0.02", "--no-clamp"]
+
+
+@pytest.fixture(scope="module")
+def own_chain_inputs(workdir):
+    files = {"ckpt": _train(workdir, "own-chain", OWN_CHAIN_YAML, seed=4),
+             "points": workdir / "own-chain-points.csv",
+             "mask": workdir / "own-chain-mask.csv"}
+    files["points"].write_text("0.2,0.3\n0.5,0.5\n0.9,0.1\n")
+    files["mask"].write_text("0,1\n")
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "8"],
+    ["inpaint", "--input", "{points}", "--mask", "{mask}"]],
+    ids=["sample", "inpaint"])
+def test_sampling_runs_the_checkpoints_own_chain(own_chain_inputs, workdir,
+                                                 command):
+    """With no chain flags, sample and inpaint run the chain the
+    checkpoint was trained with: the same bytes as with its values given
+    as flags."""
+    argv = [a.format(**own_chain_inputs) for a in command]
+    outs = []
+    for flags in ([], OWN_CHAIN_FLAGS):
+        out = workdir / f"own-chain-{command[0]}-{len(flags)}.csv"
+        assert main([*argv, "--checkpoint", own_chain_inputs["ckpt"], *flags,
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_checkpoint_without_a_stored_chain_samples_on_the_cube(workdir):
+    """A manifest with no train section falls back to the default
+    training chain, clamp (0, 1) included: the chain sample ran before
+    it read stored chains."""
+    ckpt = workdir / "no-chain.ebm"
+    save_stateful_checkpoint(ckpt)
+    out = workdir / "no-chain.csv"
+    assert main(["sample", "--checkpoint", str(ckpt), "--n", "16",
+                 "--seed", "5", "--out", str(out)]) == 0
+    rng = np.random.default_rng(5)
+    want = run_chain(rng.uniform(size=(16, 2)), load_checkpoint(ckpt).net,
+                     LangevinConfig(steps=60, step_size=10.0, noise=0.005,
+                                    grad_clip=0.01, clamp=(0.0, 1.0)), rng)
+    assert np.array_equal(np.loadtxt(out, delimiter=",", ndmin=2), want)
+
+
+def test_empty_run_config_takes_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    cfg = cli.load_run_config(path)
+    train, (capacity, uniform_prob) = cli._training(cfg)
+    buffer = ReplayBuffer()
+    assert ModelConfig(**cfg["model"]) == ModelConfig()
+    assert train == TrainConfig()
+    assert (capacity, uniform_prob) == (buffer.capacity, buffer.uniform_prob)
+    assert LangevinConfig(**cfg["langevin"]) == TrainConfig().langevin
+    assert LangevinConfig(**cfg["finetune"]["chain"]) == LangevinConfig(
+        steps=8, step_size=5.0)
+
+
 def test_version_1_checkpoint_reports_contract_error(workdir, capsys):
     """Version 1 stored a label per replay-buffer row; such files are
     refused with one line."""
@@ -891,52 +1017,72 @@ def test_spectral_scale_that_is_not_finite_and_positive_is_refused(
 @pytest.fixture(scope="module")
 def overflowing_ckpts(workdir):
     """2-8-8-1 checkpoints without spectral normalisation, 4-class and
-    unconditional, with every weight times 1e160: finite, but each
-    energy overflows."""
-    text = ("model:\n  widths: [2, 8, 8, 1]\n  num_classes: {k}\n"
+    unconditional, and a 5-8-8-1 trajectory one, with every weight times
+    1e160: finite, but each energy overflows."""
+    text = ("model:\n  widths: [{d}, 8, 8, 1]\n  num_classes: {k}\n"
             "  spectral_norm: false\n"
             "train:\n  total_steps: 3\n  batch_size: 8\n"
-            "langevin:\n  steps: 2\n"
-            "dataset:\n  kind: mixture\n  n: 64\n  n_test: 32\n"
-            "  centers: [[0.25, 0.25], [0.75, 0.75], [0.25, 0.75], "
-            "[0.75, 0.25]]\n")
-    points = workdir / "overflow-points.csv"
-    points.write_text("0.2,0.3\n0.5,0.5\n")
-    ckpts = {"points": points}
-    for name, k in (("cond", 4), ("plain", 0)):
+            "langevin:\n  steps: 2\n")
+    mixture = ("dataset:\n  kind: mixture\n  n: 64\n  n_test: 32\n"
+               "  centers: [[0.25, 0.25], [0.75, 0.75], [0.25, 0.75], "
+               "[0.75, 0.25]]\n")
+    trajectories = ("dataset:\n  kind: trajectories\n"
+                    "  n_trajectories: 30\n  length: 5\n")
+    ckpts = {"points": workdir / "overflow-points.csv",
+             "mask": workdir / "overflow-mask.csv"}
+    ckpts["points"].write_text("0.2,0.3\n0.5,0.5\n")
+    ckpts["mask"].write_text("1,0\n")
+    for name, d, k, data in (("cond", 2, 4, mixture), ("plain", 2, 0, mixture),
+                             ("traj", 5, 0, trajectories)):
         ckpts[name] = _scaled_weights(
-            _train(workdir, f"overflow-{name}", text.format(k=k), seed=1),
+            _train(workdir, f"overflow-{name}", text.format(d=d, k=k) + data,
+                   seed=1),
             workdir / f"overflow-{name}-1e160.ckpt", 1e160)
     return ckpts
 
 
-_KS = ["eval", "--metric", "ks-overfit"]
+_NON_FINITE = ("error non-finite-energy: an energy is not finite: the "
+               "weights or the inputs are too large\n")
+_DIVERGED = ("error chain-diverged: energy gradient is not finite "
+             "(step 0)\n")
+_KS = ["eval", "--metric", "ks-overfit", "--checkpoint"]
 _AUROC = ["eval", "--metric", "ood-auroc", "--inliers", "{points}",
-          "--outliers", "{points}"]
-_ATTACK = ["attack", "--eps", "0,0.1,0.2", "--n", "8", "--steps", "2"]
+          "--outliers", "{points}", "--checkpoint"]
+_ATTACK = ["attack", "--eps", "0,0.1,0.2", "--n", "8", "--steps", "2",
+           "--checkpoint", "{cond}"]
 OVERFLOW_CASES = {
-    "attack": ("cond", _ATTACK),
-    "attack-refine": ("cond", _ATTACK + ["--refine", "--refine-steps", "2"]),
-    "ks-cond": ("cond", _KS), "ks-plain": ("plain", _KS),
-    "auroc-cond": ("cond", _AUROC), "auroc-plain": ("plain", _AUROC)}
+    "attack": (_ATTACK, _NON_FINITE),
+    "attack-refine": (_ATTACK + ["--refine", "--refine-steps", "2"],
+                      _NON_FINITE),
+    "ks-cond": (_KS + ["{cond}"], _NON_FINITE),
+    "ks-plain": (_KS + ["{plain}"], _NON_FINITE),
+    "auroc-cond": (_AUROC + ["{cond}"], _NON_FINITE),
+    "auroc-plain": (_AUROC + ["{plain}"], _NON_FINITE),
+    "sample": (["sample", "--checkpoint", "{cond}", "--label", "1",
+                "--n", "4"], _DIVERGED),
+    "inpaint": (["inpaint", "--checkpoint", "{plain}", "--input", "{points}",
+                 "--mask", "{mask}"], _DIVERGED),
+    "compose": (["compose", "--checkpoints", "{cond}", "{plain}", "--labels",
+                 "1", "none", "--n", "2", "--steps", "2"], _DIVERGED),
+    "frechet-rollout": (["eval", "--checkpoint", "{traj}", "--metric",
+                         "frechet-rollout", "--horizon", "2", "--steps", "2"],
+                        _DIVERGED)}
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
 def test_energies_that_overflow_are_one_error_line(
         overflowing_ckpts, workdir, capsys, case):
     """Finite weights whose energies overflow used to give warnings and
-    exit 0 with outputs computed from NaN; they now end in one line."""
-    ckpt, command = OVERFLOW_CASES[case]
+    exit 0 with outputs computed from NaN, or warnings before the chain's
+    own error; they now end in one line and no warning."""
+    command, error = OVERFLOW_CASES[case]
     argv = [a.format(**overflowing_ckpts) for a in command]
     out = workdir / "overflow-out.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main([argv[0], "--checkpoint", str(overflowing_ckpts[ckpt]),
-                     *argv[1:], "--out", str(out)])
+        code = main([*argv, "--out", str(out)])
     assert code == 1 and not caught, [str(w.message) for w in caught]
-    assert capsys.readouterr().err == (
-        "error non-finite-energy: an energy is not finite: the weights or "
-        "the inputs are too large\n")
+    assert capsys.readouterr().err == error
     assert not out.exists()
 
 

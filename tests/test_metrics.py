@@ -175,20 +175,20 @@ def test_ais_config_validation():
 
 
 def test_ais_target_equals_base_exact_zero():
-    cfg = AISConfig(chains=32, temps=20)
+    cfg = AISConfig(chains=32, temps=20, step_size=0.05)
     est, se = ais_logZ(FlatEnergy(0.0, dim=2), cfg, np.random.default_rng(0))
     assert est == 0.0
     assert se == 0.0  # all weights equal
 
 
 def test_ais_single_temperature_is_base_partition():
-    cfg = AISConfig(chains=16, temps=1)
+    cfg = AISConfig(chains=16, temps=1, step_size=0.05)
     est, _ = ais_logZ(FlatEnergy(0.0, dim=1), cfg, np.random.default_rng(0))
     assert est == 0.0
 
 
 def test_raise_target_equals_base_exact_zero():
-    cfg = AISConfig(chains=32, temps=20)
+    cfg = AISConfig(chains=32, temps=20, step_size=0.05)
     rng = np.random.default_rng(0)
     samples = rng.uniform(size=(64, 2))
     est = raise_logZ(FlatEnergy(0.0, dim=2), cfg, rng, samples)
@@ -196,7 +196,7 @@ def test_raise_target_equals_base_exact_zero():
 
 
 def test_ais_degenerate_weights_error():
-    cfg = AISConfig(chains=8, temps=5)
+    cfg = AISConfig(chains=8, temps=5, step_size=0.05)
     with pytest.raises(DegenerateEstimateError):
         ais_logZ(BottomlessEnergy(), cfg, np.random.default_rng(0))
 
@@ -299,7 +299,8 @@ def test_estimates_match_recomputing_sweep_bit_for_bit():
 def test_estimators_call_energy_and_grad_once_per_transition(temps, transitions):
     """Energy and gradient come from one grad_x call per transition (and
     one for the initial state); energy is never called on its own."""
-    cfg = AISConfig(chains=8, temps=temps, transitions=transitions)
+    cfg = AISConfig(chains=8, temps=temps, transitions=transitions,
+                    step_size=0.05)
     expected = {"energy": 0, "grad_x": 1 + (temps - 1) * transitions}
     counted = CallCounter(_spectral_net())
     ais_logZ(counted, cfg, np.random.default_rng(0))
@@ -316,7 +317,8 @@ def test_rng_after_ais_matches_the_state_ais_leaves(chains, temps,
                                                     transitions, dim):
     """rng_after_ais(rng) is where ais_logZ leaves rng, and rng itself
     does not move."""
-    cfg = AISConfig(chains=chains, temps=temps, transitions=transitions)
+    cfg = AISConfig(chains=chains, temps=temps, transitions=transitions,
+                    step_size=0.05)
     net = EnergyNet.init(ModelConfig(widths=(dim, 4, 1)),
                          np.random.default_rng(dim))
     rng = np.random.default_rng(chains * 100 + temps)
@@ -328,14 +330,14 @@ def test_rng_after_ais_matches_the_state_ais_leaves(chains, temps,
 
 
 def test_raise_rejects_empty_samples():
-    cfg = AISConfig(chains=8, temps=5)
+    cfg = AISConfig(chains=8, temps=5, step_size=0.05)
     with pytest.raises(DataError):
         raise_logZ(FlatEnergy(0.0, dim=2), cfg, np.random.default_rng(0),
                    np.empty((0, 2)))
 
 
 def test_raise_rejects_dimension_mismatch():
-    cfg = AISConfig(chains=8, temps=5)
+    cfg = AISConfig(chains=8, temps=5, step_size=0.05)
     with pytest.raises(DimensionError):
         raise_logZ(FlatEnergy(0.0, dim=2), cfg, np.random.default_rng(0),
                    np.zeros((4, 3)))
