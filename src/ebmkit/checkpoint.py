@@ -1,20 +1,20 @@
-"""Binary persistence for energy models and their training state.
+"""Binary persistence for energy models and their replay buffers.
 
 File layout, all integers little-endian:
 
     magic     4 bytes   b"EBM1"
-    version   u32       format version (currently 2; version 1 files,
-                        which stored a label per buffer row, are refused)
+    version   u32       format version, currently 3. Versions 1 (a label
+                        per buffer row) and 2 (the Adam moments after the
+                        params, which no command read) are refused: there
+                        is one reader, and such files are retrained
     mlen      u32       manifest byte length
     manifest  mlen bytes of UTF-8 JSON (canonical: sorted keys, compact
               separators), holding the model config, optional train
-              config and dataset spec, seed, step count, and presence
-              flags for the optional blobs
+              config and dataset spec, seed, step count, and the
+              replay buffer's facts when one is stored
     params    float64 values in declaration order: per layer W row-major,
               then b, then gamma and beta when the model is conditional,
               then the spectral u vector when normalization is on
-    adam      (optional) per parameter in declaration order: first-moment
-              then second-moment values
     buffer    (optional) count as u64, then samples row-major
 
 Every array length is derivable from the manifest alone, and
@@ -38,21 +38,20 @@ from .errors import ConfigError, ContractError, checked
 from .model import (EnergyNet, Layer, ModelConfig, layer_shapes,
                     spectral_sigma)
 from .sampler import ReplayBuffer
-from .trainer import AdamState
 
 MAGIC = b"EBM1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _F8 = np.dtype("<f8")
 
 
 @dataclass
 class CheckpointBundle:
-    """A loaded checkpoint: the model plus whatever state was stored."""
+    """A loaded checkpoint: the model, its manifest and the replay buffer
+    when one was stored."""
 
     net: EnergyNet
     manifest: dict
-    adam: AdamState | None = None
     buffer: ReplayBuffer | None = None
 
 
@@ -78,32 +77,22 @@ def _blob(arr):
     return np.ascontiguousarray(arr).astype(_F8, copy=False).tobytes()
 
 
-def _config_dict(config):
-    d = asdict(config)
-    d["widths"] = list(d["widths"])
-    return d
-
-
 def save_checkpoint(path, net, *, train=None, dataset=None, seed=None,
-                    step_count=0, adam=None, buffer=None):
-    """Serialize a model (and optional Adam/replay state) to path."""
+                    step_count=0, buffer=None):
+    """Serialize a model, and its replay buffer when given, to path. The
+    optimizer state is not stored: no command resumes a run."""
     manifest = {
-        "model": _config_dict(net.config),
+        "model": asdict(net.config),
         "train": (None if train is None
                   else train if isinstance(train, dict) else asdict(train)),
         "dataset": dataset,
         "seed": seed,
         "step_count": int(step_count),
-        "adam": None if adam is None else {"t": int(adam.t)},
         "buffer": None,
     }
     # Layer fields run w, b, gamma, beta, u: the storage order
     chunks = [_blob(arr) for layer in net.layers
               for arr in vars(layer).values() if arr is not None]
-    if adam is not None:
-        for name, _ in net.parameters():
-            chunks.append(_blob(adam.m[name]))
-            chunks.append(_blob(adam.v[name]))
     if buffer is not None:
         samples = buffer.snapshot()
         manifest["buffer"] = {
@@ -146,14 +135,11 @@ def _malformed(what):
 
 
 def _parse_manifest(manifest):
-    """(ModelConfig, Adam step or None, buffer facts or None) from a
-    decoded manifest; a missing, mistyped or inconsistent entry is a
-    ContractError. Counts and extents must be JSON integers."""
+    """(ModelConfig, buffer facts or None) from a decoded manifest; a
+    missing, mistyped or inconsistent entry is a ContractError. Counts and
+    extents must be JSON integers."""
     try:
         config = ModelConfig(**manifest["model"])
-        adam = manifest.get("adam")
-        adam_t = (None if adam is None
-                  else checked("adam step", adam["t"], int, ge=0))
         binfo = manifest.get("buffer")
         if binfo is not None:
             binfo = {k: checked(k, binfo[k], kind) for k, kind in (
@@ -168,7 +154,7 @@ def _parse_manifest(manifest):
         if binfo["dim"] != config.input_dim and (binfo["count"] or binfo["dim"]):
             raise _malformed(f"buffer dimension {binfo['dim']} does not match "
                              f"the model input dimension {config.input_dim}")
-    return config, adam_t, binfo
+    return config, binfo
 
 
 def load_checkpoint(path):
@@ -187,7 +173,7 @@ def load_checkpoint(path):
         manifest = json.loads(reader.take(mlen, "manifest").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContractError(f"unreadable checkpoint manifest: {exc}") from exc
-    config, adam_t, binfo = _parse_manifest(manifest)
+    config, binfo = _parse_manifest(manifest)
 
     layers = [Layer(**{k: reader.array(shape, _BLOB_NAMES[k])
                        for k, shape in entry.items()})
@@ -202,14 +188,6 @@ def load_checkpoint(path):
                     f"layer {i} has spectral scale {sigma:g}; the scale "
                     f"must be finite and positive")
     net = EnergyNet(config, layers)
-
-    adam = None
-    if adam_t is not None:
-        m, v = {}, {}
-        for name, p in net.parameters():
-            m[name] = reader.array(p.shape, f"adam m[{name}]")
-            v[name] = reader.array(p.shape, f"adam v[{name}]")
-        adam = AdamState(m=m, v=v, t=adam_t)
 
     buffer = None
     if binfo is not None:
@@ -228,5 +206,4 @@ def load_checkpoint(path):
     if reader.offset != len(data):
         raise ContractError(
             f"{len(data) - reader.offset} trailing bytes after checkpoint blobs")
-    return CheckpointBundle(net=net, manifest=manifest, adam=adam,
-                            buffer=buffer)
+    return CheckpointBundle(net=net, manifest=manifest, buffer=buffer)

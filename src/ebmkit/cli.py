@@ -4,10 +4,11 @@ One executable with subcommands: train, sample, inpaint, compose, eval,
 continual, and attack. Configuration comes from a YAML file with nested
 sections (model, train, langevin, dataset, continual, finetune). Every
 key has a default, in model, train and langevin that of ModelConfig,
-TrainConfig or ReplayBuffer, and unknown keys are rejected. A command
-that samples one checkpoint runs the chain stored in it, with any chain
-flag given laid over it. All randomness derives from --seed, so
-identical invocations produce identical output bytes. Outputs are CSV
+TrainConfig or ReplayBuffer, and unknown keys are rejected; any other
+flag or key that feeds a library parameter takes its default from there.
+A command that samples one checkpoint runs the chain stored in it, with
+any chain flag given laid over it. All randomness derives from --seed,
+so identical invocations produce identical output bytes. Outputs are CSV
 reports, sample matrices (one row per sample, %.17g), or PGM image
 grids, written atomically. Every error, a bad or missing flag included,
 exits 1 with a single line "error <category>: <message>" on stderr.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import inspect
 import io
 import logging
 import math
@@ -111,9 +113,9 @@ DATASET_DEFAULTS = {
     },
     "trajectories": {
         "n_trajectories": 100,
-        "length": 100,
-        "kick_period": 4,
-        "kick_size": 2.0,
+        **{k: p.default for k, p in
+           inspect.signature(trajectory_sim).parameters.items()
+           if k in ("length", "kick_period", "kick_size")},
     },
 }
 
@@ -378,7 +380,7 @@ def cmd_train(args):
 
     save_checkpoint(args.out, net, train=train_cfg, dataset=cfg["dataset"],
                     seed=args.seed, step_count=train_cfg.total_steps,
-                    adam=state, buffer=buffer)
+                    buffer=buffer)
     metrics_path = args.metrics_out or f"{args.out}.metrics.csv"
     body = "\n".join(rows)
     write_text_atomic(metrics_path,
@@ -387,11 +389,16 @@ def cmd_train(args):
     return 0
 
 
+def _passed(args, *names):
+    """The given flags among names, as keyword arguments: a flag left unset
+    (default SUPPRESS) keeps the default of the library parameter it feeds."""
+    return {name: getattr(args, name) for name in names if name in vars(args)}
+
+
 def _given(args, config):
-    """config with the given flags laid over it, each named after a field of
-    config (their parser's argument_default=SUPPRESS leaves the rest unset)."""
-    given = {f.name for f in fields(config)} & set(vars(args))
-    return replace(config, **{name: getattr(args, name) for name in given})
+    """config with the given flags laid over it, each named after a field
+    of config."""
+    return replace(config, **_passed(args, *(f.name for f in fields(config))))
 
 
 def cmd_sample(args):
@@ -454,7 +461,8 @@ def cmd_compose(args):
         nets = finetune_combination(nets, combos, tcfg, rng,
                                     epochs=cfg["epochs"])
     chain = _given(args, replace(TrainConfig().langevin, steps=COMPOSE_STEPS))
-    samples = joint_sample(list(zip(nets, labels)), chain, rng, n=args.n)
+    samples = joint_sample(list(zip(nets, labels)), chain, rng,
+                           **_passed(args, "n"))
     _write_samples(args.out, samples, args.format)
     return 0
 
@@ -815,8 +823,8 @@ def cmd_attack(args):
         part_rng = rng_after_chains(rng, refine_cfg, x_test.shape, skipped)
         out = []
         for eps in radii:
-            adv = pgd_attack(net, x_test, y_test, eps, steps=args.steps,
-                             norm=args.norm)
+            adv = pgd_attack(net, x_test, y_test, eps,
+                             **_passed(args, "steps", "norm"))
             acc = float(np.mean(energy_classify(net, adv) == y_test))
             acc_ref = None
             if args.refine:
@@ -944,7 +952,7 @@ def build_parser():
     p.add_argument("--labels", nargs="+", required=True,
                    help="one per checkpoint; 'none' for unconditional")
     p.add_argument("--finetune-config", default=None)
-    p.add_argument("--n", type=_COUNT, default=64)
+    p.add_argument("--n", type=_COUNT)
     _add_sampling_flags(p)
     p.set_defaults(func=cmd_compose)
 
@@ -991,7 +999,7 @@ def build_parser():
                         "in a forked second process when at least 2 CPUs "
                         "are usable, else after the first half; the output "
                         "bytes are the same")
-    p.add_argument("--norm", choices=("linf", "l2"), default="linf")
+    p.add_argument("--norm", choices=("linf", "l2"), default=SUPPRESS)
     p.add_argument("--refine", action="store_true",
                    help="also report accuracy after bounded Langevin "
                         "refinement; the second process's chains start "
@@ -1000,7 +1008,8 @@ def build_parser():
     p.add_argument("--refine-steps", type=_STEPS, default=30,
                    help="refinement chain length; the rest of the chain is "
                         "the one stored in the checkpoint")
-    p.add_argument("--steps", type=_STEPS, default=20, help="PGD iterations")
+    p.add_argument("--steps", type=_STEPS, default=SUPPRESS,
+                   help="PGD iterations")
     p.add_argument("--n", type=_COUNT, default=256)
     p.set_defaults(func=cmd_attack)
 

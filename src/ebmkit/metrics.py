@@ -23,9 +23,9 @@ lowest-energy-label classification, PGD attacks on energy logits, and
 sample/mode assignment fractions. refined_classify draws from its
 generator only in its chains; sampler.rng_after_chains reaches the state
 they leave without running them, so `ebmkit attack` refines its later
-radii in a forked second process with the same output bytes. The scorers
-refuse energies that are not finite (finite_energy) with one error, not
-numpy's overflow warnings.
+radii in a forked second process with the same output bytes. The scorers,
+the quadrature and the annealed estimators refuse an energy or gradient
+that is not finite with one error, not numpy's overflow warnings.
 """
 
 from __future__ import annotations
@@ -105,10 +105,11 @@ def log_partition_quadrature(net, bounds, resolution):
         a, b = np.meshgrid(axis, axis, indexing="ij")
         grid = np.stack([a.ravel(), b.ravel()], axis=1)
 
+    net = net.frozen()
     log_terms = np.empty(grid.shape[0])
     for start in range(0, grid.shape[0], QUADRATURE_CHUNK):
         stop = start + QUADRATURE_CHUNK
-        log_terms[start:stop] = -net.energy(grid[start:stop])
+        log_terms[start:stop] = -finite_energy(net, grid[start:stop])
     m = log_terms.max()
     return float(m + np.log(np.sum(np.exp(log_terms - m))) + log_cell)
 
@@ -167,6 +168,15 @@ def _tamed_drift(g, h):
     return drift * scale
 
 
+def _annealing_pass(net, x):
+    """net's (energy, gradient) at x; a NaN or -inf energy or a gradient
+    that is not finite is refused. An energy of +inf is a point of zero
+    density, whose annealing weight vanishes."""
+    e, g = net.grad_x(x, with_energy=True)
+    _require_finite("an energy or its gradient", e[e != np.inf], g)
+    return e, g
+
+
 def _mala_sweep(net, beta, x, e, g, cfg, rng):
     """Metropolis-adjusted Langevin transitions leaving the rung's
     distribution, exp(-beta E) on the unit cube, invariant. The state
@@ -182,13 +192,12 @@ def _mala_sweep(net, beta, x, e, g, cfg, rng):
         # rows off the cube are evaluated at x; their u_prop is inf, so
         # they are never accepted
         at = np.where(ok[:, None], prop, x)
-        e_prop, g_prop = net.grad_x(at, with_energy=True)
+        e_prop, g_prop = _annealing_pass(net, at)
         u_prop = np.where(ok, beta * e_prop, np.inf)
         mean_bwd = prop + _tamed_drift(beta * g_prop, h)
         log_q_fwd = -np.sum((prop - mean_fwd) ** 2, axis=1) / (2.0 * h)
         log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h)
-        with np.errstate(invalid="ignore"):
-            log_accept = (u - u_prop) + (log_q_bwd - log_q_fwd)
+        log_accept = (u - u_prop) + (log_q_bwd - log_q_fwd)
         accept = np.log(rng.uniform(size=x.shape[0])) < log_accept
         x = np.where(accept[:, None], prop, x)
         u = np.where(accept, u_prop, u)
@@ -201,9 +210,12 @@ def _log_mean_exp(logw):
     if np.all(np.isneginf(logw)):
         raise DegenerateEstimateError("all annealing weights vanished")
     m = np.max(logw)
+    if m == np.inf:
+        raise DegenerateEstimateError("an annealing weight is infinite")
     return float(m + np.log(np.mean(np.exp(logw - m))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ais_logZ(net, cfg, rng):
     """Forward-annealed estimate of log Z = log integral exp(-E) over the
     unit cube, from chains started uniformly on it.
@@ -216,7 +228,7 @@ def ais_logZ(net, cfg, rng):
     betas = cfg.ladder()
     x = rng.uniform(size=(cfg.chains, net.config.input_dim))
     logw = np.zeros(cfg.chains)
-    e, g = net.grad_x(x, with_energy=True)
+    e, g = _annealing_pass(net, x)
     for t in range(1, len(betas)):
         logw -= (betas[t] - betas[t - 1]) * e
         x, e, g = _mala_sweep(net, betas[t], x, e, g, cfg, rng)
@@ -248,6 +260,7 @@ def rng_after_ais(rng, cfg, dim):
     return rng
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def raise_logZ(net, cfg, rng, samples):
     """Reverse-annealed counterpart of ais_logZ.
 
@@ -267,7 +280,7 @@ def raise_logZ(net, cfg, rng, samples):
     rows = rng.integers(0, samples.shape[0], size=cfg.chains)
     x = samples[rows]
     logw = np.zeros(cfg.chains)
-    e, g = net.grad_x(x, with_energy=True)
+    e, g = _annealing_pass(net, x)
     for t in range(len(betas) - 2, -1, -1):
         logw += (betas[t + 1] - betas[t]) * e
         x, e, g = _mala_sweep(net, betas[t], x, e, g, cfg, rng)

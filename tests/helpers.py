@@ -259,8 +259,6 @@ MALFORMED_MANIFESTS = {
     "bool-num-classes": _set("model", "num_classes", True),
     "float-power-iters": _set("model", "power_iters", 1.5),
     "string-spectral-norm": _set("model", "spectral_norm", "yes"),
-    "float-adam-step": _set("adam", "t", 3.0),
-    "negative-adam-step": _set("adam", "t", -1),
     "float-buffer-count": _set("buffer", "count", 5.0),
     "huge-float-buffer-dim": _set("buffer", "dim", 1e300),
     "huge-float-buffer-capacity": _set("buffer", "capacity", 1e300),
@@ -271,20 +269,17 @@ MALFORMED_MANIFESTS = {
 
 
 def save_stateful_checkpoint(path):
-    """A 2-4-1 spectral model with Adam state (t=3) and a replay buffer of
-    capacity 8 holding 5 rows: every manifest section is present."""
+    """A 2-4-1 spectral model with a replay buffer of capacity 8 holding
+    5 rows: every manifest section is present."""
     from ebmkit.checkpoint import save_checkpoint
     from ebmkit.model import EnergyNet, ModelConfig
     from ebmkit.sampler import ReplayBuffer
-    from ebmkit.trainer import AdamState
 
     rng = np.random.default_rng(0)
     net = EnergyNet.init(ModelConfig(widths=(2, 4, 1)), rng)
-    adam = AdamState.for_parameters(net.parameters())
-    adam.t = 3
     buffer = ReplayBuffer(capacity=8)
     buffer.insert(rng.uniform(size=(5, 2)))
-    save_checkpoint(path, net, adam=adam, buffer=buffer)
+    save_checkpoint(path, net, buffer=buffer)
 
 
 # ---------------------------------------------------------------------------

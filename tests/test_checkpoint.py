@@ -18,7 +18,7 @@ from ebmkit.checkpoint import (FORMAT_VERSION, MAGIC, CheckpointBundle,
 from ebmkit.errors import ContractError
 from ebmkit.model import ACTIVATIONS, EnergyNet, ModelConfig
 from ebmkit.sampler import ReplayBuffer
-from ebmkit.trainer import AdamState, TrainConfig
+from ebmkit.trainer import TrainConfig
 
 from helpers import MALFORMED_MANIFESTS, save_stateful_checkpoint, with_manifest
 
@@ -58,12 +58,7 @@ def test_parameters_round_trip_bit_exact(tmp_path, num_classes, spectral_norm):
 
 def test_save_load_save_is_byte_identical(tmp_path):
     net = _net(3, num_classes=2)
-    adam = AdamState.for_parameters(net.parameters())
     rng = np.random.default_rng(4)
-    for name in adam.m:
-        adam.m[name] = rng.normal(size=adam.m[name].shape)
-        adam.v[name] = rng.uniform(size=adam.v[name].shape)
-    adam.t = 17
     buffer = ReplayBuffer(capacity=50, uniform_prob=0.1)
     buffer.insert(rng.uniform(size=(30, 3)))
     train = TrainConfig(lr=3e-4, batch_size=16)
@@ -73,37 +68,28 @@ def test_save_load_save_is_byte_identical(tmp_path):
     first = tmp_path / "a.ebm"
     second = tmp_path / "b.ebm"
     save_checkpoint(first, net, train=train, dataset=dataset, seed=9,
-                    step_count=17, adam=adam, buffer=buffer)
+                    step_count=17, buffer=buffer)
     bundle = load_checkpoint(first)
     save_checkpoint(second, bundle.net, train=bundle.manifest["train"],
                     dataset=bundle.manifest["dataset"],
                     seed=bundle.manifest["seed"],
                     step_count=bundle.manifest["step_count"],
-                    adam=bundle.adam, buffer=bundle.buffer)
+                    buffer=bundle.buffer)
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_adam_and_buffer_state_survive(tmp_path):
+def test_buffer_state_survives(tmp_path):
     net = _net(5, num_classes=3)
-    adam = AdamState.for_parameters(net.parameters())
     rng = np.random.default_rng(6)
-    for name in adam.m:
-        adam.m[name] += rng.normal(size=adam.m[name].shape)
-        adam.v[name] += rng.uniform(size=adam.v[name].shape)
-    adam.t = 5
     buffer = ReplayBuffer(capacity=20, uniform_prob=0.25)
     # overfill so the FIFO wraps and order matters
     buffer.insert(rng.uniform(size=(15, 3)))
     buffer.insert(rng.uniform(size=(12, 3)))
 
     path = tmp_path / "full.ebm"
-    save_checkpoint(path, net, adam=adam, buffer=buffer, step_count=5)
+    save_checkpoint(path, net, buffer=buffer, step_count=5)
     bundle = load_checkpoint(path)
 
-    assert bundle.adam.t == 5
-    for name, _ in net.parameters():
-        assert np.array_equal(bundle.adam.m[name], adam.m[name])
-        assert np.array_equal(bundle.adam.v[name], adam.v[name])
     assert np.array_equal(buffer.snapshot(), bundle.buffer.snapshot())
     assert bundle.buffer.capacity == 20
     assert bundle.buffer.uniform_prob == 0.25
@@ -134,7 +120,7 @@ def test_manifest_carries_run_facts(tmp_path):
     assert manifest["seed"] == 42
     assert manifest["step_count"] == 250
     assert manifest["model"]["widths"] == [3, 8, 8, 1]
-    assert manifest["adam"] is None and manifest["buffer"] is None
+    assert manifest["buffer"] is None
 
 
 def test_rejects_malformed_files(tmp_path):
@@ -154,11 +140,13 @@ def test_rejects_malformed_files(tmp_path):
     with pytest.raises(ContractError):
         load_checkpoint(bad_version)
 
-    # version 1 stored a label per replay-buffer row
-    version_1 = tmp_path / "version-1.ebm"
-    version_1.write_bytes(MAGIC + struct.pack("<I", 1) + bytes(raw[8:]))
-    with pytest.raises(ContractError, match="format version 1$"):
-        load_checkpoint(version_1)
+    # version 1 stored a label per replay-buffer row, version 2 the Adam
+    # moments
+    for old in (1, 2):
+        older = tmp_path / f"version-{old}.ebm"
+        older.write_bytes(MAGIC + struct.pack("<I", old) + bytes(raw[8:]))
+        with pytest.raises(ContractError, match=f"format version {old}$"):
+            load_checkpoint(older)
 
     truncated = tmp_path / "short.ebm"
     truncated.write_bytes(bytes(raw[:len(raw) - 5]))
@@ -206,9 +194,8 @@ JSON_VALUES = st.recursive(
     max_leaves=5)
 
 MANIFEST_FIELDS = (
-    [(section, None) for section in ("model", "adam", "buffer")]
+    [(section, None) for section in ("model", "buffer")]
     + [("model", f.name) for f in dataclasses.fields(ModelConfig)]
-    + [("adam", "t")]
     + [("buffer", key) for key in ("count", "dim", "capacity",
                                    "uniform_prob")])
 
@@ -237,7 +224,7 @@ def _loads_or_contract_error(data):
 def test_manifest_fields_cover_the_saved_manifest():
     raw = _stateful_bytes()
     manifest = json.loads(raw[12:12 + struct.unpack("<I", raw[8:12])[0]])
-    for section in ("model", "adam", "buffer"):
+    for section in ("model", "buffer"):
         assert ({key for sec, key in MANIFEST_FIELDS if sec == section}
                 == {None, *manifest[section]})
 
@@ -282,36 +269,29 @@ def test_fuzzed_bytes_load_or_are_a_contract_error(edits, keep):
        input_dim=st.integers(1, 4),
        activation=st.sampled_from(ACTIVATIONS),
        num_classes=st.sampled_from((0, 2)), spectral=st.booleans(),
-       power_iters=st.integers(1, 3), with_adam=st.booleans(),
+       power_iters=st.integers(1, 3),
        capacity=st.one_of(st.none(), st.integers(1, 6)),
        rows=st.lists(st.integers(0, 5), max_size=3),
        uniform_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
 # an empty buffer that has seen an empty batch keeps its dimension; one
 # that has seen none records dimension 0
 @example(hidden=[3], input_dim=2, activation="swish", num_classes=2,
-         spectral=True, power_iters=1, with_adam=False, capacity=1, rows=[0],
+         spectral=True, power_iters=1, capacity=1, rows=[0],
          uniform_prob=0.5, seed=0)
 @example(hidden=[3], input_dim=2, activation="swish", num_classes=0,
-         spectral=False, power_iters=1, with_adam=True, capacity=3, rows=[0],
+         spectral=False, power_iters=1, capacity=3, rows=[0],
          uniform_prob=0.5, seed=0)
 @example(hidden=[3], input_dim=2, activation="swish", num_classes=2,
-         spectral=False, power_iters=1, with_adam=False, capacity=3, rows=[],
+         spectral=False, power_iters=1, capacity=3, rows=[],
          uniform_prob=0.5, seed=0)
 def test_save_load_save_is_byte_identical_for_random_states(
         hidden, input_dim, activation, num_classes, spectral, power_iters,
-        with_adam, capacity, rows, uniform_prob, seed):
+        capacity, rows, uniform_prob, seed):
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(widths=(input_dim, *hidden, 1), activation=activation,
                       num_classes=num_classes, spectral_norm=spectral,
                       power_iters=power_iters)
     net = EnergyNet.init(cfg, rng)
-    adam = None
-    if with_adam:
-        adam = AdamState.for_parameters(net.parameters())
-        for name in adam.m:
-            adam.m[name] = rng.normal(size=adam.m[name].shape)
-            adam.v[name] = rng.uniform(size=adam.v[name].shape)
-        adam.t = int(rng.integers(0, 1000))
     buffer = None
     if capacity is not None:
         buffer = ReplayBuffer(capacity=capacity, uniform_prob=uniform_prob)
@@ -320,9 +300,9 @@ def test_save_load_save_is_byte_identical_for_random_states(
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.ebm", Path(tmp) / "b.ebm"
         save_checkpoint(first, net, seed=seed, step_count=seed % 7,
-                        adam=adam, buffer=buffer)
+                        buffer=buffer)
         bundle = load_checkpoint(first)
         save_checkpoint(second, bundle.net, seed=bundle.manifest["seed"],
                         step_count=bundle.manifest["step_count"],
-                        adam=bundle.adam, buffer=bundle.buffer)
+                        buffer=bundle.buffer)
         assert first.read_bytes() == second.read_bytes()

@@ -950,6 +950,31 @@ def test_checkpoint_without_a_stored_chain_samples_on_the_cube(workdir):
     assert np.array_equal(np.loadtxt(out, delimiter=",", ndmin=2), want)
 
 
+def test_flags_not_given_keep_the_library_defaults(fuzz_inputs, workdir,
+                                                  monkeypatch):
+    """attack --steps/--norm and compose --n reach pgd_attack and
+    joint_sample only when given, so each default has one home."""
+    calls = []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            calls.append(sorted(kwargs))
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr("ebmkit.cli.pgd_attack", spy(cli.pgd_attack))
+    monkeypatch.setattr("ebmkit.cli.joint_sample", spy(cli.joint_sample))
+    out = str(workdir / "library-defaults.csv")
+    attack = ["attack", "--checkpoint", fuzz_inputs["cond"], "--eps", "0.1",
+              "--n", "4", "--out", out]
+    compose = ["compose", "--checkpoints", fuzz_inputs["cond"], "--labels",
+               "0", "--steps", "2", "--out", out]
+    for argv in (attack, attack + ["--steps", "3", "--norm", "l2"],
+                 compose, compose + ["--n", "3"]):
+        assert main(argv) == 0
+    assert calls == [[], ["norm", "steps"], [], ["n"]]
+
+
 def test_empty_run_config_takes_the_dataclass_defaults(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
@@ -964,31 +989,65 @@ def test_empty_run_config_takes_the_dataclass_defaults(tmp_path):
         steps=8, step_size=5.0)
 
 
+def _assert_version_refused(workdir, capsys, version):
+    good = workdir / "version-ok.ebm"
+    save_stateful_checkpoint(good)
+    old = workdir / f"version-{version}.ebm"
+    raw = good.read_bytes()
+    old.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+    out = workdir / f"v{version}.csv"
+    code = main(["eval", "--checkpoint", str(old), "--metric",
+                 "logz-bracket", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (f"error contract: unsupported checkpoint format "
+                   f"version {version}\n")
+    assert not out.exists()
+
+
 def test_version_1_checkpoint_reports_contract_error(workdir, capsys):
     """Version 1 stored a label per replay-buffer row; such files are
     refused with one line."""
-    good = workdir / "version-ok.ebm"
-    save_stateful_checkpoint(good)
-    old = workdir / "version-1.ebm"
-    raw = good.read_bytes()
-    old.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-    code = main(["eval", "--checkpoint", str(old), "--metric",
-                 "logz-bracket", "--out", str(workdir / "v1.csv")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == "error contract: unsupported checkpoint format version 1\n"
+    _assert_version_refused(workdir, capsys, 1)
+
+
+def test_version_2_checkpoint_reports_contract_error(workdir, capsys):
+    """Version 2 stored the Adam moments, which no command read; such
+    files are refused with one line, and are retrained."""
+    _assert_version_refused(workdir, capsys, 2)
+
+
+def test_train_checkpoint_holds_the_net_and_its_buffer_only(fuzz_inputs):
+    """A train checkpoint is its header, manifest, arrays and replay
+    buffer; the Adam moments, 16 bytes per parameter, are not stored."""
+    path = Path(fuzz_inputs["mix"])
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[8:12])
+    bundle = load_checkpoint(path)
+    assert "adam" not in bundle.manifest
+    arrays = sum(a.size for layer in bundle.net.layers
+                 for a in vars(layer).values() if a is not None)
+    assert len(raw) == (12 + mlen + 8 * arrays
+                        + 8 + 8 * bundle.buffer.snapshot().size)
+
+
+def _resaved(src, dst, edit):
+    """A copy of checkpoint src with edit(layers) applied to its net."""
+    bundle = load_checkpoint(src)
+    edit(bundle.net.layers)
+    m = bundle.manifest
+    save_checkpoint(dst, bundle.net, train=m["train"], dataset=m["dataset"],
+                    seed=m["seed"], step_count=m["step_count"],
+                    buffer=bundle.buffer)
+    return dst
 
 
 def _scaled_weights(src, dst, factor):
     """A copy of checkpoint src with every weight matrix times factor."""
-    bundle = load_checkpoint(src)
-    for layer in bundle.net.layers:
-        layer.w = layer.w * factor
-    m = bundle.manifest
-    save_checkpoint(dst, bundle.net, train=m["train"], dataset=m["dataset"],
-                    seed=m["seed"], step_count=m["step_count"],
-                    adam=bundle.adam, buffer=bundle.buffer)
-    return dst
+    def scale(layers):
+        for layer in layers:
+            layer.w = layer.w * factor
+    return _resaved(src, dst, scale)
 
 
 @pytest.mark.parametrize("factor", [1e200, 1e160, 1e-310, 0.0])
@@ -1045,7 +1104,11 @@ _NON_FINITE = ("error non-finite-energy: an energy is not finite: the "
                "weights or the inputs are too large\n")
 _DIVERGED = ("error chain-diverged: energy gradient is not finite "
              "(step 0)\n")
+_NON_FINITE_GRAD = ("error non-finite-energy: an energy or its gradient is "
+                    "not finite: the weights or the inputs are too large\n")
 _KS = ["eval", "--metric", "ks-overfit", "--checkpoint"]
+_LOGZ = ["eval", "--metric", "logz-bracket", "--chains", "2", "--temps", "3",
+         "--checkpoint"]
 _AUROC = ["eval", "--metric", "ood-auroc", "--inliers", "{points}",
           "--outliers", "{points}", "--checkpoint"]
 _ATTACK = ["attack", "--eps", "0,0.1,0.2", "--n", "8", "--steps", "2",
@@ -1058,6 +1121,9 @@ OVERFLOW_CASES = {
     "ks-plain": (_KS + ["{plain}"], _NON_FINITE),
     "auroc-cond": (_AUROC + ["{cond}"], _NON_FINITE),
     "auroc-plain": (_AUROC + ["{plain}"], _NON_FINITE),
+    # 2-D: the quadrature refuses first; 5-D: AIS and RAISE refuse
+    "logz-plain": (_LOGZ + ["{plain}"], _NON_FINITE),
+    "logz-traj": (_LOGZ + ["{traj}"], _NON_FINITE_GRAD),
     "sample": (["sample", "--checkpoint", "{cond}", "--label", "1",
                 "--n", "4"], _DIVERGED),
     "inpaint": (["inpaint", "--checkpoint", "{plain}", "--input", "{points}",
@@ -1605,6 +1671,86 @@ def test_yaml_key_path_fuzz_keeps_the_cli_contract(fuzz_inputs, workdir,
         for flags in _CHECKPOINT_EVALS:
             _keeps_the_contract(["eval", "--checkpoint", str(ckpt), *flags],
                                 workdir / "yaml-fuzz-eval.csv")
+
+
+# The value gate's checkpoints: 1-D with 0 or 2 classes and a 5-D
+# trajectory one, each with and without spectral normalisation, and the
+# commands that read each.
+_VALUE_DATA = {"plain": (1, 0, "mixture\n  centers: [[0.5]]"),
+               "cond": (1, 2, "mixture\n  centers: [[0.25], [0.75]]"),
+               "traj": (5, 0, "trajectories\n  n_trajectories: 30\n"
+                              "  length: 5")}
+_VALUE_EVALS = {"logz": ["--metric", "logz-bracket", "--chains", "2",
+                         "--temps", "3"],
+                "auroc": ["--metric", "ood-auroc", "--inliers", "{points}",
+                          "--outliers", "{points}"],
+                "ks": ["--metric", "ks-overfit"],
+                "coverage": ["--metric", "mode-coverage", "--n", "4"],
+                "rollout": ["--metric", "frechet-rollout", "--horizon", "2",
+                            "--steps", "2"]}
+_VALUE_ATTACK = ["attack", "--eps", "0,0.1,0.2", "--n", "4", "--steps", "2"]
+_VALUE_COMMANDS = {
+    "plain": ([["sample", "--n", "2", "--steps", "2"],
+               ["inpaint", "--input", "{points}", "--mask", "{mask}",
+                "--steps", "2"]]
+              + [["eval", *_VALUE_EVALS[m]]
+                 for m in ("logz", "auroc", "ks", "coverage")]),
+    "cond": ([["sample", "--label", "1", "--n", "2", "--steps", "2"],
+              ["inpaint", "--label", "1", "--input", "{points}", "--mask",
+               "{mask}", "--steps", "2"],
+              _VALUE_ATTACK,
+              _VALUE_ATTACK + ["--refine", "--refine-steps", "2"]]
+             + [["eval", *_VALUE_EVALS[m]]
+                for m in ("auroc", "ks", "coverage")]),
+    "traj": [["sample", "--n", "2", "--steps", "2"]]
+            + [["eval", *_VALUE_EVALS[m]] for m in ("logz", "ks", "rollout")]}
+_VALUE_LABELS = {"plain": "none", "cond": "1", "traj": "none"}
+
+
+@pytest.fixture(scope="module")
+def value_ckpts(workdir):
+    tiny = ("model:\n  widths: [{d}, 4, 4, 1]\n  num_classes: {k}\n"
+            "  spectral_norm: {sn}\n"
+            "train:\n  total_steps: 2\n  batch_size: 4\n"
+            "langevin:\n  steps: 2\n"
+            "dataset:\n  kind: {data}\n")
+    return {(kind, sn): _train(workdir, f"value-{kind}-{sn}",
+                               tiny.format(d=d, k=k, sn=sn, data=data), seed=1)
+            for kind, (d, k, data) in _VALUE_DATA.items()
+            for sn in ("true", "false")}
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@seed(30)
+@given(kind=st.sampled_from(sorted(_VALUE_DATA)),
+       sn=st.sampled_from(("true", "false")),
+       layer=st.integers(0, 2),
+       field=st.sampled_from(("w", "b", "gamma", "beta", "u")),
+       power=st.one_of(st.none(), st.integers(-320, 308)))
+def test_checkpoint_value_fuzz_keeps_the_cli_contract(
+        value_ckpts, fuzz_inputs, workdir, kind, sn, layer, field, power):
+    """One array of a tiny checkpoint times 10**power, or zeroed (power
+    None), then every command that reads such a checkpoint: each ends in
+    one error line or exits 0 with finite outputs, never with a warning.
+    A field the checkpoint lacks (gamma and beta of an unconditional net,
+    u without spectral normalisation) falls back to w."""
+    def edit(layers):
+        target = layers[layer]
+        name = field if getattr(target, field) is not None else "w"
+        factor = 0.0 if power is None else 10.0 ** power
+        with np.errstate(over="ignore", under="ignore"):
+            setattr(target, name, getattr(target, name) * factor)
+
+    ckpt = _resaved(value_ckpts[kind, sn], workdir / "value-fuzz.ckpt", edit)
+    out = workdir / "value-fuzz.out"
+    for argv in _VALUE_COMMANDS[kind]:
+        argv = [a.format(**fuzz_inputs) for a in argv]
+        _keeps_the_contract([argv[0], "--checkpoint", str(ckpt), *argv[1:]],
+                            out)
+    _keeps_the_contract(["compose", "--checkpoints", str(ckpt), str(ckpt),
+                         "--labels", _VALUE_LABELS[kind],
+                         _VALUE_LABELS[kind], "--n", "2", "--steps", "2"],
+                        out)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

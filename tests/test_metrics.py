@@ -201,6 +201,58 @@ def test_ais_degenerate_weights_error():
         ais_logZ(BottomlessEnergy(), cfg, np.random.default_rng(0))
 
 
+def test_raise_infinite_weight_error():
+    """A sample at energy +inf has an infinite reverse weight; the upper
+    bound used to come out NaN."""
+    cfg = AISConfig(chains=8, temps=5, step_size=0.05)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DegenerateEstimateError, match="infinite"):
+        raise_logZ(BottomlessEnergy(), cfg, rng, rng.uniform(size=(4, 1)))
+
+
+class SpoiltEnergy(FlatEnergy):
+    """Flat, but row 0 of the energy or the gradient of the at-th grad_x
+    pass is value."""
+
+    def __init__(self, field, value, at):
+        super().__init__(0.0, dim=2)
+        self.field, self.value, self.at, self.calls = field, value, at, 0
+
+    def grad_x(self, x, labels=None, *, with_energy=False):
+        e, g = super().grad_x(x, with_energy=True)
+        self.calls += 1
+        if self.calls == self.at:
+            (e if self.field == "energy" else g)[0] = self.value
+        return e, g
+
+
+@pytest.mark.parametrize("at", [1, 3])
+@pytest.mark.parametrize("field,value", [
+    ("energy", np.nan), ("energy", -np.inf), ("gradient", np.nan),
+    ("gradient", np.inf)])
+@pytest.mark.parametrize("estimator", ["ais", "raise"])
+def test_estimators_refuse_values_that_are_not_finite(estimator, field,
+                                                      value, at):
+    """At the first pass or one inside a sweep, with no numpy warning on
+    the way; an energy of +inf is a point of zero density instead."""
+    cfg = AISConfig(chains=4, temps=3, step_size=0.05)
+    net = SpoiltEnergy(field, value, at)
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(NonFiniteEnergyError):
+        warnings.simplefilter("always")
+        if estimator == "ais":
+            ais_logZ(net, cfg, rng)
+        else:
+            raise_logZ(net, cfg, rng, rng.uniform(size=(4, 2)))
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_quadrature_refuses_an_energy_that_is_not_finite():
+    with pytest.raises(NonFiniteEnergyError):
+        log_partition_quadrature(BottomlessEnergy(), (0.0, 1.0), 0.1)
+
+
 def _narrow_quadratic_1d():
     # Boltzmann density on [0, 1] is close to N(0.5, 0.1^2)
     return QuadraticEnergy(mu=[0.5], prec=[[100.0]])
