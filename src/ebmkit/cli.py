@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import hashlib
 import inspect
 import io
 import logging
@@ -43,10 +44,9 @@ from .errors import ConfigError, ContractError, DataError, EbmError, checked
 from .metrics import (AISConfig, ais_logZ, auroc, class_energies,
                       energy_classify, finite_energy, frechet_gaussian,
                       ks_statistic, log_partition_quadrature, metric_csv_row,
-                      mode_coverage, pgd_attack, raise_logZ,
-                      refined_classify, rng_after_ais)
+                      mode_coverage, pgd_attack, raise_logZ, refined_classify)
 from .model import EnergyNet, ModelConfig
-from .sampler import ReplayBuffer, inpaint, rng_after_chains, run_chain
+from .sampler import ReplayBuffer, inpaint, run_chain
 from .trainer import AdamState, TrainConfig, train_step
 
 log = logging.getLogger("ebmkit")
@@ -327,6 +327,13 @@ def _read_matrix(path):
     return x
 
 
+def _file_sha256(path):
+    """Hex sha256 of a file's bytes, so that a row's config hash names
+    what was read, not the path it was read through."""
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def _pgm_grid_text(samples):
     n, d = samples.shape
     side = int(round(math.sqrt(d)))
@@ -590,11 +597,13 @@ def _replay(caught):
 def _eval_logz(args, bundle, rng):
     """The logZ bracket: quadrature (1-D and 2-D), AIS and RAISE rows.
 
-    RAISE starts from the generator state AIS leaves behind
-    (rng_after_ais), so the two estimators are independent. When at
-    least 2 CPUs are usable, RAISE runs in a forked second process while
-    AIS runs here (_Beside); otherwise it runs after AIS. The output
-    bytes, the error and the warnings are the same either way.
+    AIS draws from rng and RAISE from rng's first spawned child stream
+    (Generator.spawn, which does not move rng), so each estimator's bits
+    depend only on its own stream. When at least 2 CPUs are usable,
+    RAISE runs in a forked second process while AIS runs here (_Beside);
+    otherwise it runs after AIS. The output bytes, the error and the
+    warnings are the same either way. The upper row's hash also covers
+    RAISE's samples: the data file's sha256, or the buffer tail's length.
     """
     net = bundle.net
     if net.config.num_classes > 0:
@@ -613,19 +622,21 @@ def _eval_logz(args, bundle, rng):
                                          resolution=resolution))
     if args.data_file:
         exact = _read_matrix(args.data_file)
+        source = _file_sha256(args.data_file)
     elif bundle.buffer is not None and len(bundle.buffer):
         samples = bundle.buffer.snapshot()
         exact = samples[-min(len(samples), 256):]
+        source = f"buffer tail {len(exact)}"
     else:
         raise ConfigError("the reverse estimator needs model samples: "
                           "pass --data-file or use a checkpoint with a "
                           "replay buffer")
     setup = {**asdict(cfg), "seed": args.seed}
-    with _Beside(raise_logZ, net, cfg, rng_after_ais(rng, cfg, d),
-                 exact) as upper:
+    with _Beside(raise_logZ, net, cfg, rng.spawn(1)[0], exact) as upper:
         lower = ais_logZ(net, cfg, rng)[0]
     return [metric_csv_row("logz_lower", lower, **setup),
-            metric_csv_row("logz_upper", upper.value, **setup)] + quadrature
+            metric_csv_row("logz_upper", upper.value, samples=source,
+                           **setup)] + quadrature
 
 
 def _marginal_energy(net, x):
@@ -646,8 +657,9 @@ def _eval_auroc(args, bundle, rng):
     e_out = _marginal_energy(net, _read_matrix(args.outliers))
     # in-distribution scores must rank higher, so score = -energy
     value = auroc(-e_in, -e_out)
-    return [metric_csv_row("ood_auroc", value, inliers=args.inliers,
-                           outliers=args.outliers)]
+    return [metric_csv_row("ood_auroc", value,
+                           inliers=_file_sha256(args.inliers),
+                           outliers=_file_sha256(args.outliers))]
 
 
 def _eval_ks(args, bundle, rng):
@@ -794,13 +806,15 @@ def cmd_attack(args):
     """The accuracy curve under PGD, one row per radius.
 
     Each nonzero radius is one unit of work: its attack, its accuracy
-    and, with --refine, its refined accuracy, whose chains are the only
-    draws from the --seed generator. The first half of the nonzero radii
-    (the larger half) runs here. When the later half is not empty and at
-    least 2 CPUs are usable, it runs at the same time in a forked second
-    process (_Beside), from the generator state the first half's chains
-    leave (rng_after_chains); otherwise it runs after the first half. The
-    output bytes, the error and the warnings are the same either way.
+    and, with --refine, its refined accuracy. The refinement chains draw
+    from the radius's own stream, SeedSequence(--seed) with the radius's
+    float64 bits as spawn key, so a row depends only on the checkpoint,
+    the seed and its radius, not on which other radii were asked for.
+    The first half of the nonzero radii (the larger half) runs here.
+    When the later half is not empty and at least 2 CPUs are usable, it
+    runs at the same time in a forked second process (_Beside);
+    otherwise it runs after the first half. The output bytes, the error
+    and the warnings are the same either way.
     """
     bundle = load_checkpoint(args.checkpoint)
     net = bundle.net
@@ -812,15 +826,12 @@ def cmd_attack(args):
         raise ConfigError("attack needs a labeled dataset")
     n = min(args.n, x_test.shape[0])
     x_test, y_test = x_test[:n], y_test[:n]
-    rng = np.random.default_rng(args.seed)
     refine_cfg = replace(_stored_chain(bundle.manifest), steps=args.refine_steps)
     header = "eps,accuracy" + (",accuracy_refined" if args.refine else "")
     clean = float(np.mean(energy_classify(net, x_test) == y_test))
 
-    def accuracies(radii, skipped):
-        """(accuracy, refined accuracy or None) at each radius in turn;
-        the chains draw from rng past the draws of `skipped` chains."""
-        part_rng = rng_after_chains(rng, refine_cfg, x_test.shape, skipped)
+    def accuracies(radii):
+        """(accuracy, refined accuracy or None) at each radius in turn."""
         out = []
         for eps in radii:
             adv = pgd_attack(net, x_test, y_test, eps,
@@ -828,7 +839,10 @@ def cmd_attack(args):
             acc = float(np.mean(energy_classify(net, adv) == y_test))
             acc_ref = None
             if args.refine:
-                pred = refined_classify(net, adv, eps, refine_cfg, part_rng)
+                key = int(np.float64(eps).view(np.uint64))
+                radius_rng = np.random.default_rng(
+                    np.random.SeedSequence(args.seed, spawn_key=(key,)))
+                pred = refined_classify(net, adv, eps, refine_cfg, radius_rng)
                 acc_ref = float(np.mean(pred == y_test))
             out.append((acc, acc_ref))
         return out
@@ -837,12 +851,11 @@ def cmd_attack(args):
     half = (len(radii) + 1) // 2
     first, later = radii[:half], radii[half:]
     if later:
-        skipped = net.config.num_classes * half if args.refine else 0
-        with _Beside(accuracies, later, skipped) as beside:
-            results = accuracies(first, 0)
+        with _Beside(accuracies, later) as beside:
+            results = accuracies(first)
         results += beside.value
     else:
-        results = accuracies(first, 0)
+        results = accuracies(first)
     results = iter(results)
     rows = []
     for eps in args.eps:
@@ -1002,9 +1015,9 @@ def build_parser():
     p.add_argument("--norm", choices=("linf", "l2"), default=SUPPRESS)
     p.add_argument("--refine", action="store_true",
                    help="also report accuracy after bounded Langevin "
-                        "refinement; the second process's chains start "
-                        "where the first half's leave the --seed generator, "
-                        "so the bytes match a one-process run")
+                        "refinement; each radius's chains draw from their "
+                        "own stream of --seed, so a row does not depend on "
+                        "the other radii")
     p.add_argument("--refine-steps", type=_STEPS, default=30,
                    help="refinement chain length; the rest of the chain is "
                         "the one stored in the checkpoint")

@@ -11,21 +11,21 @@ and the uniform density on the unit cube [0, 1]^d, whose log-partition is
 0. Their MALA sweeps carry each chain's net energy and gradient along with
 its state, and take both at a proposal from one
 grad_x(..., with_energy=True) pass, so one transition costs one grad_x
-call and no energy call. RAISE needs the generator state AIS leaves
-behind; rng_after_ais reaches it by making AIS's draws alone, so
-`ebmkit eval --metric logz-bracket` runs RAISE in a forked second process
-beside AIS when at least 2 CPUs are usable, with the same output bytes as
-running it after AIS.
+call and no energy call. Each estimator draws only from the generator
+it is given, so with one stream each (`ebmkit eval --metric
+logz-bracket` gives RAISE a spawned child of AIS's generator) they can
+run in either order or at once, in a forked second process, with the
+same output bytes.
 
 The remaining metrics are standard: Mann-Whitney AUROC, the Gaussian
 Frechet distance in Dowson-Landau closed form, a two-sample KS statistic,
 lowest-energy-label classification, PGD attacks on energy logits, and
 sample/mode assignment fractions. refined_classify draws from its
-generator only in its chains; sampler.rng_after_chains reaches the state
-they leave without running them, so `ebmkit attack` refines its later
-radii in a forked second process with the same output bytes. The scorers,
-the quadrature and the annealed estimators refuse an energy or gradient
-that is not finite with one error, not numpy's overflow warnings.
+generator only in its chains, and `ebmkit attack` gives each radius its
+own stream, so the radii can be refined in any split between two
+processes with the same output bytes. The scorers, the quadrature and the
+annealed estimators refuse an energy or gradient that is not finite with
+one error, not numpy's overflow warnings.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ import numpy as np
 from .errors import (ConfigError, DataError, DegenerateEstimateError,
                      DimensionError, LabelError, NonFiniteEnergyError,
                      checked)
-from .sampler import rng_copy, run_chain
+from .sampler import run_chain
 
 __all__ = [
     "AISConfig",
     "log_partition_quadrature",
     "ais_logZ",
-    "rng_after_ais",
     "raise_logZ",
     "auroc",
     "finite_energy",
@@ -240,24 +239,6 @@ def ais_logZ(net, cfg, rng):
     else:
         se = 0.0
     return estimate, se
-
-
-def rng_after_ais(rng, cfg, dim):
-    """A copy of rng advanced past exactly the draws that ais_logZ makes
-    for cfg on a dim-dimensional net: the uniform starts, then per rung
-    and per transition one normal proposal block and one uniform
-    acceptance vector. rng itself is left as it is.
-
-    raise_logZ on the copy gives the same bits as raise_logZ run on rng
-    after ais_logZ, so the two estimators can run at the same time.
-    """
-    rng = rng_copy(rng)
-    rng.uniform(size=(cfg.chains, dim))
-    for _ in range(cfg.temps - 1):
-        for _ in range(cfg.transitions):
-            rng.normal(size=(cfg.chains, dim))
-            rng.uniform(size=cfg.chains)
-    return rng
 
 
 @np.errstate(over="ignore", invalid="ignore")

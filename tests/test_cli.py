@@ -36,7 +36,8 @@ from ebmkit.checkpoint import load_checkpoint, save_checkpoint
 from ebmkit.cli import (DATASET_DEFAULTS, DEFAULTS,
                         _keep_large_arrays_on_heap, build_parser, main)
 from ebmkit.errors import DegenerateEstimateError
-from ebmkit.metrics import energy_classify, pgd_attack, refined_classify
+from ebmkit.metrics import (AISConfig, ais_logZ, energy_classify, pgd_attack,
+                            raise_logZ, refined_classify)
 from ebmkit.model import EnergyNet, ModelConfig
 from ebmkit.sampler import LangevinConfig, ReplayBuffer, run_chain
 from ebmkit.trainer import TrainConfig
@@ -402,6 +403,48 @@ def test_logz_bracket_bytes_do_not_depend_on_the_second_process(
     assert capfd.readouterr() == ("", "")
 
 
+def _rows_by_name(path):
+    """{metric: (config hash, value text)} of an eval CSV."""
+    return {name: (digest, value) for name, digest, value in
+            (row.split(",") for row in _rows(path)[1])}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_logz_estimators_read_their_own_streams(oned_ckpt, workdir,
+                                                monkeypatch, cpus):
+    """AIS draws from the --seed generator and RAISE from its first
+    spawned child, on the buffer's last 256 samples, whether or not
+    RAISE runs in a second process."""
+    monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: cpus)
+    out = workdir / f"logz-streams-{cpus}.csv"
+    assert main(_logz_argv(oned_ckpt, 9, out)) == 0
+    bundle = load_checkpoint(oned_ckpt)
+    cfg = AISConfig(chains=32, temps=12)
+    lower, _ = ais_logZ(bundle.net, cfg, np.random.default_rng(9))
+    upper = raise_logZ(bundle.net, cfg, np.random.default_rng(9).spawn(1)[0],
+                       bundle.buffer.snapshot()[-256:])
+    rows = _rows_by_name(out)
+    assert rows["logz_lower"][1] == f"{lower:.10g}"
+    assert rows["logz_upper"][1] == f"{upper:.10g}"
+
+
+def test_logz_upper_hash_names_the_reverse_samples(oned_ckpt, workdir):
+    """Two data files and the buffer give three upper-row hashes; AIS
+    reads no samples, so the lower row keeps one hash and one value."""
+    sources = [()]
+    for name, points in (("a", "0.25\n0.5\n"), ("b", "0.5\n0.75\n")):
+        path = workdir / f"logz-samples-{name}.csv"
+        path.write_text(points)
+        sources.append(("--data-file", str(path)))
+    rows = []
+    for i, extra in enumerate(sources):
+        out = workdir / f"logz-source-{i}.csv"
+        assert main(_logz_argv(oned_ckpt, 5, out, *extra)) == 0
+        rows.append(_rows_by_name(out))
+    assert len({r["logz_upper"][0] for r in rows}) == 3
+    assert len({r["logz_lower"] for r in rows}) == 1
+
+
 def test_failed_fork_runs_raise_inline(oned_ckpt, workdir, monkeypatch):
     def no_fork():
         raise BlockingIOError("fork: resource temporarily unavailable")
@@ -552,6 +595,29 @@ def test_ood_auroc_ranks_data_above_uniform(cond_ckpt, workdir):
     assert _metric_values(report)["ood_auroc"] >= 0.6
 
 
+def test_ood_auroc_bytes_do_not_depend_on_the_paths(cond_ckpt, workdir,
+                                                    monkeypatch):
+    """The same two files through relative paths, absolute paths and
+    copies in another directory give the same CSV bytes."""
+    here = workdir / "auroc-paths"
+    (here / "copies").mkdir(parents=True)
+    rng = np.random.default_rng(13)
+    for name in ("in.csv", "out.csv"):
+        np.savetxt(here / name, rng.uniform(size=(16, 2)), fmt="%.17g",
+                   delimiter=",")
+        shutil.copy(here / name, here / "copies" / name)
+    monkeypatch.chdir(here)
+    outs = []
+    for i, folder in enumerate(("", str(here), str(here / "copies"))):
+        outs.append(here / f"auroc-{i}.csv")
+        assert main(["eval", "--checkpoint", str(cond_ckpt),
+                     "--metric", "ood-auroc",
+                     "--inliers", os.path.join(folder, "in.csv"),
+                     "--outliers", os.path.join(folder, "out.csv"),
+                     "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
 def test_frechet_rollout_reports_finite_distance(traj_ckpt, workdir):
     out = workdir / "frechet.csv"
     assert main(["eval", "--checkpoint", str(traj_ckpt),
@@ -629,14 +695,20 @@ def _attack_argv(ckpt, eps, out, *extra):
             "--out", str(out), *extra]
 
 
+def _radius_stream(radius):
+    """The --seed 3 stream of one radius: its float64 bits are the spawn
+    key."""
+    key, = struct.unpack("<Q", struct.pack("<d", radius))
+    return np.random.default_rng(np.random.SeedSequence(3, spawn_key=(key,)))
+
+
 def _attack_in_one_pass(ckpt, eps, norm, refine):
-    """The CSV _attack_argv asks for, from one loop over the radii on one
-    generator."""
+    """The CSV _attack_argv asks for, from one loop over the radii, each
+    radius's chains on its own stream."""
     bundle = load_checkpoint(ckpt)
     net = bundle.net
     x, y = cli._split(cli._dataset_from_manifest(bundle.manifest)[0], "test")
     x, y = x[:128], y[:128]
-    rng = np.random.default_rng(3)
     cfg = LangevinConfig(steps=10, clamp=(0.0, 1.0))
     clean = float(np.mean(energy_classify(net, x) == y))
     lines = ["eps,accuracy" + ",accuracy_refined" * refine]
@@ -646,7 +718,8 @@ def _attack_in_one_pass(ckpt, eps, norm, refine):
             adv = pgd_attack(net, x, y, radius, steps=5, norm=norm)
             acc = float(np.mean(energy_classify(net, adv) == y))
             if refine:
-                pred = refined_classify(net, adv, radius, cfg, rng)
+                pred = refined_classify(net, adv, radius, cfg,
+                                        _radius_stream(radius))
                 acc_ref = float(np.mean(pred == y))
         lines.append(f"{radius:.10g},{acc:.10g}"
                      + f",{acc_ref:.10g}" * refine)
@@ -664,9 +737,9 @@ def test_attack_bytes_do_not_depend_on_the_second_process(
         cond_ckpt, workdir, monkeypatch, capfd, norm, refine):
     """With 2 usable CPUs the later half of the nonzero radii runs in a
     forked child, which needs 2 of them; with 1 CPU it runs after the
-    first half. Both files are the one a single loop over the radii on
-    one generator writes, the child prints nothing, and no child is left
-    once main returns."""
+    first half. Both files are the one a single loop over the radii, on
+    each radius's own stream, writes, the child prints nothing, and no
+    child is left once main returns."""
     extra = ("--norm", norm) + (("--refine",) if refine else ())
     forks = []
     fork = os.fork
@@ -691,6 +764,26 @@ def test_attack_bytes_do_not_depend_on_the_second_process(
         assert outs[0].read_text() == _attack_in_one_pass(cond_ckpt, eps,
                                                           norm, refine)
     assert capfd.readouterr() == ("", "")
+
+
+# one radius alone, among others, in another order and twice
+ATTACK_SUBSETS = ["0.2", "0.1,0.2", "0.05,0.1,0.2", "0.2,0.05", "0.1,0.1"]
+
+
+def test_refined_row_depends_only_on_its_radius(cond_ckpt, workdir,
+                                                monkeypatch):
+    """Each radius's row has the same bytes whichever other radii are
+    asked for, in whatever order, and with 1 or 2 usable CPUs."""
+    rows = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr("ebmkit.cli._usable_cpus", lambda: cpus)
+        for i, eps in enumerate(ATTACK_SUBSETS):
+            out = workdir / f"attack-subset-{cpus}-{i}.csv"
+            assert main(_attack_argv(cond_ckpt, eps, out, "--refine")) == 0
+            for row in _rows(out)[1]:
+                rows.setdefault(row.split(",")[0], set()).add(row)
+    assert sorted(rows) == ["0.05", "0.1", "0.2"]
+    assert all(len(found) == 1 for found in rows.values()), rows
 
 
 def test_failed_fork_runs_the_later_radii_inline(cond_ckpt, workdir,

@@ -1,4 +1,3 @@
-import copy
 import warnings
 
 import numpy as np
@@ -13,9 +12,9 @@ from ebmkit.metrics import (QUADRATURE_CHUNK, QUADRATURE_MAX_CELLS, AISConfig,
                             finite_energy, frechet_gaussian, ks_statistic,
                             log_partition_quadrature, metric_csv_row,
                             mode_coverage, pgd_attack, raise_logZ,
-                            refined_classify, rng_after_ais)
+                            refined_classify)
 from ebmkit.model import EnergyNet, ModelConfig
-from ebmkit.sampler import LangevinConfig, ReplayBuffer, rng_after_chains
+from ebmkit.sampler import LangevinConfig, ReplayBuffer
 from ebmkit.trainer import AdamState, TrainConfig, train_step
 
 from helpers import (CallCounter, QuadraticEnergy, energy_config, ks_oracle,
@@ -361,24 +360,6 @@ def test_estimators_call_energy_and_grad_once_per_transition(temps, transitions)
     raise_logZ(counted, cfg, np.random.default_rng(0),
                np.random.default_rng(1).uniform(size=(8, 2)))
     assert counted.calls == expected
-
-
-@pytest.mark.parametrize("chains,temps,transitions,dim", [
-    (8, 12, 2, 2), (1, 5, 1, 1), (16, 4, 0, 3), (4, 1, 3, 2), (3, 1, 0, 1)])
-def test_rng_after_ais_matches_the_state_ais_leaves(chains, temps,
-                                                    transitions, dim):
-    """rng_after_ais(rng) is where ais_logZ leaves rng, and rng itself
-    does not move."""
-    cfg = AISConfig(chains=chains, temps=temps, transitions=transitions,
-                    step_size=0.05)
-    net = EnergyNet.init(ModelConfig(widths=(dim, 4, 1)),
-                         np.random.default_rng(dim))
-    rng = np.random.default_rng(chains * 100 + temps)
-    before = copy.deepcopy(rng.bit_generator.state)
-    skipped = rng_after_ais(rng, cfg, dim)
-    assert rng.bit_generator.state == before
-    ais_logZ(net, cfg, rng)
-    assert skipped.bit_generator.state == rng.bit_generator.state
 
 
 def test_raise_rejects_empty_samples():
@@ -776,27 +757,6 @@ def test_refined_classify_keeps_easy_points():
     cfg = LangevinConfig(steps=20, clamp=(0.0, 1.0))
     got = refined_classify(net, x, 0.05, cfg, np.random.default_rng(1))
     assert np.array_equal(got, [0, 1, 0])
-
-
-@pytest.mark.parametrize("num_classes", [1, 2, 3, 4])
-@pytest.mark.parametrize("steps,noise", [(3, 0.005), (3, 0.0), (0, 0.005)])
-def test_rng_after_chains_matches_the_state_refinement_leaves(
-        num_classes, steps, noise):
-    """rng_after_chains(rng) for one chain per class is where
-    refined_classify leaves rng, and rng itself does not move: a noisy
-    chain draws once per step, stalled or not, and a noiseless one never
-    draws."""
-    cfg = LangevinConfig(steps=steps, noise=noise, clamp=(0.0, 1.0))
-    net = _film_net(num_classes, seed=80 + num_classes)
-    data = np.random.default_rng(81)
-    x = data.uniform(size=(9, 2))
-    rng = np.random.default_rng(82 + steps)
-    before = copy.deepcopy(rng.bit_generator.state)
-    skipped = rng_after_chains(rng, cfg, x.shape, num_classes)
-    assert rng.bit_generator.state == before
-    refined_classify(net, x, 0.05, cfg, rng)
-    assert skipped.bit_generator.state == rng.bit_generator.state
-    assert (rng.bit_generator.state == before) == (steps * noise == 0)
 
 
 def test_refined_classify_requires_conditional_model():
